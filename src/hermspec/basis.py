@@ -15,7 +15,6 @@ total degree at most N, enumerated in graded lexicographic order.
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations_with_replacement
 
 import numpy as np
 

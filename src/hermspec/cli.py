@@ -30,7 +30,7 @@ from .bounds import (
     thm_general_bound,
 )
 from .control import ControlProblem, hum_control, worst_case_initial_state
-from .errors import ConfigError, VerificationError
+from .errors import ConfigError, InputError, QuadratureError, VerificationError
 from .geometry import (
     BallDensitySpec,
     CubeDensitySpec,
@@ -156,9 +156,12 @@ def _get(cfg, key, required_by=None):
 
 def _quad_rule(cfg):
     if "quad_tol" in cfg or "nodes" in cfg:
-        return QuadratureRule(
-            tol=cfg.get("quad_tol", 1e-11), nodes=cfg.get("nodes", 64)
-        )
+        try:
+            return QuadratureRule(
+                tol=cfg.get("quad_tol", 1e-11), nodes=cfg.get("nodes", 64)
+            )
+        except InputError as exc:
+            raise ConfigError(f"quadrature rule: {exc}") from None
     return QuadratureRule()
 
 
@@ -170,7 +173,16 @@ def _sensor_set(cfg, sub):
         regions = cfg.get("region", [])
         if not regions:
             raise ConfigError(f"subcommand '{sub}': set=inline needs region lines")
-        return SensorSet(tuple(Region.from_line(r, d) for r in regions))
+        parsed = []
+        for i, line in enumerate(regions):
+            try:
+                parsed.append(Region.from_line(line, d))
+            except InputError as exc:
+                raise ConfigError(f"region {i} {line!r}: {exc}") from None
+        try:
+            return SensorSet(tuple(parsed))
+        except InputError as exc:
+            raise ConfigError(f"inline set: {exc}") from None
     if kind == "fullspace_window":
         half = cfg.get("window_radius", max(20.0, math.sqrt(2.0 * N + d) + 8.0))
         return SensorSet((Region.box((0.0,) * d, (half,) * d),))
@@ -512,6 +524,9 @@ def main(argv=None):
         print(f"verification failure: {exc}", file=sys.stderr)
         if exc.ledger:
             print(exc.ledger, file=sys.stderr)
+        return 1
+    except QuadratureError as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     if failures:
         for c in failures:

@@ -26,20 +26,20 @@ class Region:
 
     @staticmethod
     def box(center, half_sides):
-        center = tuple(float(c) for c in center)
+        center = _finite_center(center)
         half_sides = tuple(float(h) for h in half_sides)
         if len(center) != len(half_sides):
             raise InputError("center and half_sides must have equal length")
-        if any(h <= 0 for h in half_sides):
-            raise InputError("half-sides must be positive")
+        if not all(0 < h < math.inf for h in half_sides):
+            raise InputError("half-sides must be positive and finite")
         return Region("box", center, half_sides=half_sides)
 
     @staticmethod
     def ball(center, radius):
-        center = tuple(float(c) for c in center)
+        center = _finite_center(center)
         radius = float(radius)
-        if radius <= 0:
-            raise InputError("radius must be positive")
+        if not 0 < radius < math.inf:
+            raise InputError("radius must be positive and finite")
         return Region("ball", center, radius=radius)
 
     @staticmethod
@@ -94,17 +94,29 @@ class Region:
     @staticmethod
     def from_line(line, d):
         tokens = line.split()
+        if not tokens:
+            raise InputError("empty region line")
         kind = tokens[0]
-        vals = [float(t) for t in tokens[1:]]
+        try:
+            vals = [float(t) for t in tokens[1:]]
+        except ValueError as exc:
+            raise InputError(f"{kind} line: {exc}") from None
         if kind == "box":
             if len(vals) != 2 * d:
                 raise InputError(f"box line needs {2 * d} numbers, got {len(vals)}")
-            return Region("box", tuple(vals[:d]), half_sides=tuple(vals[d:]))
+            return Region.box(vals[:d], vals[d:])
         if kind == "ball":
             if len(vals) != d + 1:
                 raise InputError(f"ball line needs {d + 1} numbers, got {len(vals)}")
-            return Region("ball", tuple(vals[:d]), radius=vals[d])
+            return Region.ball(vals[:d], vals[d])
         raise InputError(f"unknown region kind {kind!r}")
+
+
+def _finite_center(center):
+    center = tuple(float(c) for c in center)
+    if not all(math.isfinite(c) for c in center):
+        raise InputError("center coordinates must be finite")
+    return center
 
 
 def _interiors_disjoint(a, b):

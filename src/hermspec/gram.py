@@ -3,11 +3,14 @@
 Boxes are integrated by tensor Gauss-Legendre with per-axis panel splitting
 (long boxes are cut into panels of bounded length so that the fixed node count
 resolves the Gaussian factor); the tensor structure lets each box contribute a
-product of one-dimensional moment matrices.  Balls are reduced to boxes by
-dyadic inside/outside/straddle subdivision with midpoint inclusion at the
-deepest level.  Full-space weighted Grams use scaled Gauss-Hermite nodes with
-the Gaussian weight absorbed analytically, which is exact for the polynomial
-factors.
+product of one-dimensional moment matrices.  Balls use the chord rule: the
+first coordinate is x_1 = c_1 + r sin(theta) with Gauss-Legendre nodes in
+theta, and each node carries the (d-1)-ball of radius r cos(theta), down to
+a paneled interval in one dimension; the substitution removes the square-root
+ends of the chords, so the integrand is smooth in theta.  All weights are
+positive, so every Gram is PSD by construction.  Full-space weighted Grams
+use scaled Gauss-Hermite nodes with the Gaussian weight absorbed
+analytically, which is exact for the polynomial factors.
 """
 
 import math
@@ -22,19 +25,17 @@ from .errors import InputError, QuadratureError
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    kind: str = "gauss-legendre-per-box"
     nodes: int = 64
     tol: float = 1e-11
     max_doublings: int = 12
     panel_max: float = 4.0
-    ball_depth: int = 12
 
     def __post_init__(self):
         if self.nodes < 1:
             raise InputError("nodes must be at least 1")
         if self.tol <= 0:
             raise InputError("tol must be positive")
-        if self.panel_max <= 0 or self.ball_depth < 0 or self.max_doublings < 0:
+        if self.panel_max <= 0 or self.max_doublings < 0:
             raise InputError("invalid quadrature rule parameters")
 
 
@@ -69,65 +70,49 @@ def axis_quadrature(a, b, nodes, panel_max):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def _ball_cells(region, depth):
-    """Dyadic decomposition of a ball into boxes (center, half_sides).
+def _ball_points(center, r, nodes, panel_max):
+    """Chord-rule points (n, d) and weights on the ball |x - center| <= r.
 
-    Cells fully inside are emitted; straddling cells subdivide until depth and
-    are then kept iff their midpoint lies in the ball.
+    Yields one (points, weights) slice per Gauss-Legendre node in theta, so a
+    caller can accumulate over slices without holding the whole point set.
+    For d >= 2 the slice at theta is the (d-1)-ball of radius r cos(theta)
+    about center[1:], lifted to x_1 = c_1 + r sin(theta), with its weights
+    scaled by (pi/2) w r cos(theta).  For d = 1 the single slice is the
+    paneled interval rule of axis_quadrature.
     """
-    d = region.dimension
-    c = np.asarray(region.center)
-    r = region.radius
-    cells = []
+    if len(center) == 1:
+        x, w = axis_quadrature(center[0] - r, center[0] + r, nodes, panel_max)
+        yield x[:, None], w
+        return
+    t, wt = _leggauss(nodes)
+    for tk, wk in zip(t, wt):
+        theta = 0.5 * math.pi * tk
+        rho = r * math.cos(theta)
+        p, q = _joined(_ball_points(center[1:], rho, nodes, panel_max))
+        x1 = np.full((p.shape[0], 1), center[0] + r * math.sin(theta))
+        yield np.hstack([x1, p]), (0.5 * math.pi * wk * rho) * q
 
-    def recurse(center, half, level):
-        delta = np.abs(center - c)
-        near = np.linalg.norm(np.maximum(delta - half, 0.0))
-        far = np.linalg.norm(delta + half)
-        if near >= r:
-            return
-        if far <= r:
-            cells.append((center, half, level))
-            return
-        if level >= depth:
-            if np.linalg.norm(center - c) <= r:
-                cells.append((center, half, level))
-            return
-        for corner in np.ndindex(*(2,) * d):
-            shift = (np.asarray(corner) - 0.5) * half
-            recurse(center + shift, half / 2.0, level + 1)
 
-    recurse(c.astype(float), np.full(d, float(r)), 0)
-    return cells
+def _joined(slices):
+    """Concatenate (points, weights) slices into one point set."""
+    slices = list(slices)
+    return np.concatenate([p for p, _ in slices]), np.concatenate([w for _, w in slices])
 
 
 def region_quadrature(region, rule=DEFAULT_RULE, nodes=None):
     """Full point/weight set for integrating a generic integrand over a region."""
     n = nodes if nodes is not None else rule.nodes
-    d = region.dimension
-    if region.kind == "box":
-        boxes = [(np.asarray(region.center, dtype=float),
-                  np.asarray(region.half_sides, dtype=float), 0)]
-    else:
-        boxes = _ball_cells(region, rule.ball_depth)
-    pts, wts = [], []
-    for center, half, level in boxes:
-        half = np.broadcast_to(half, (d,))
-        n_cell = max(6, n >> level) if level else n
-        axes = []
-        for j in range(d):
-            xj, wj = axis_quadrature(center[j] - half[j], center[j] + half[j],
-                                     n_cell, rule.panel_max)
-            axes.append((xj, wj))
-        grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-        p = np.stack([g.ravel() for g in grids], axis=1)
-        wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-        w = np.ones(p.shape[0])
-        for g in wgrids:
-            w = w * g.ravel()
-        pts.append(p)
-        wts.append(w)
-    return np.concatenate(pts), np.concatenate(wts)
+    if region.kind == "ball":
+        return _joined(_ball_points(region.center, region.radius, n, rule.panel_max))
+    axes = [axis_quadrature(c - h, c + h, n, rule.panel_max)
+            for c, h in zip(region.center, region.half_sides)]
+    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+    p = np.stack([g.ravel() for g in grids], axis=1)
+    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
+    w = np.ones(p.shape[0])
+    for g in wgrids:
+        w = w * g.ravel()
+    return p, w
 
 
 @dataclass
@@ -178,14 +163,24 @@ def _box_gram(basis, center, half, nodes, panel_max):
     return G
 
 
+def _basis_table(basis, points):
+    """Matrix of Phi_alpha(x_i) values at (npoints, d) points, shape (npoints, basis.size)."""
+    alph = _alpha_matrix(basis)
+    out = np.ones((points.shape[0], basis.size))
+    for j in range(basis.dimension):
+        out *= eval_phi_table(basis.max_degree, points[:, j])[:, alph[:, j]]
+    return out
+
+
 def _region_gram(basis, region, nodes, rule):
     if region.kind == "box":
         return _box_gram(basis, np.asarray(region.center, dtype=float),
                          region.half_sides, nodes, rule.panel_max)
+    # one theta slice at a time: a 3-D ball at 128^3 points would need a GB table
     G = np.zeros((basis.size, basis.size))
-    for center, half, level in _ball_cells(region, rule.ball_depth):
-        n_cell = max(6, nodes >> level) if level else nodes
-        G += _box_gram(basis, center, half, n_cell, rule.panel_max)
+    for pts, w in _ball_points(region.center, region.radius, nodes, rule.panel_max):
+        T = _basis_table(basis, pts)
+        G += T.T @ (w[:, None] * T)
     return G
 
 

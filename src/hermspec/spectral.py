@@ -16,7 +16,7 @@ import numpy as np
 from .basis import BasisIndexSet, HermiteVector, derivative_operator, _compositions
 from .bounds import bernstein_CB_log, delta_choice
 from .errors import InputError, VerificationError
-from .gram import DEFAULT_RULE, gram_over_set, region_quadrature
+from .gram import DEFAULT_RULE, _basis_table, gram_over_set, region_quadrature
 
 
 def jacobi_eigh(A, max_sweeps=100):
@@ -122,23 +122,6 @@ class CellContext:
             vals = table @ columns
             out[k] = wts @ (vals * vals)
         return out
-
-
-def _basis_table(basis, points):
-    """Matrix of Phi_alpha(x_i) values, shape (npoints, basis.size)."""
-    from .basis import eval_phi_table
-
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
-    tabs = [eval_phi_table(basis.max_degree, points[:, j]) for j in range(basis.dimension)]
-    out = np.ones((points.shape[0], basis.size))
-    for i, alpha in enumerate(basis.indices):
-        col = tabs[0][:, alpha[0]].copy()
-        for j in range(1, basis.dimension):
-            col *= tabs[j][:, alpha[j]]
-        out[:, i] = col
-    return out
 
 
 def derivative_columns(f, m_max):

@@ -55,6 +55,36 @@ def test_cli_exit_2_on_missing_file(tmp_path):
     assert main(["spectral", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+@pytest.mark.parametrize("regions, message", [
+    (["box 0.0 -1.0"], "'box 0.0 -1.0'"),
+    (["ball 0.0 0.0"], "'ball 0.0 0.0'"),
+    (["box nan 1.0"], "'box nan 1.0'"),
+    (["box 0.0 2.0", "box 1.0 2.0"], "overlapping"),
+])
+def test_cli_exit_2_on_bad_region(tmp_path, capsys, regions, message):
+    cfg = write(tmp_path, "r.cfg", (
+        "dimension = 1\n"
+        "degree_max = 1\n"
+        + "".join(f"region = {r}\n" for r in regions)
+        + f"out_dir = {tmp_path / 'out'}\n"
+    ))
+    assert main(["spectral", "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_exit_1_on_quadrature_failure(tmp_path, capsys):
+    # no tolerance below roundoff can be met: every doubling is one more failure
+    cfg = write(tmp_path, "q.cfg", (
+        "dimension = 1\n"
+        "degree_max = 2\n"
+        "region = box 0.0 1.0\n"
+        f"out_dir = {tmp_path / 'out'}\n"
+    ))
+    assert main(["spectral", "--config", cfg, "--set", "nodes=1",
+                 "--set", "quad_tol=1e-300"]) == 1
+    assert "verification failure: no convergence" in capsys.readouterr().err
+
+
 def test_spectral_halfline_example(tmp_path):
     cfg = write(tmp_path, "s.cfg", (
         "dimension = 1\n"

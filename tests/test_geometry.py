@@ -48,6 +48,20 @@ def test_invalid_regions():
         Region.ball((0.0,), -1.0)
 
 
+@pytest.mark.parametrize("line", [
+    "box 0.0 -1.0",      # negative half-side
+    "ball 0.0 0.0",      # zero radius
+    "box nan 1.0",       # non-finite center
+    "ball 0.0 inf",      # non-finite radius
+    "box 0.0",           # short line
+    "box 0.0 x",         # not a number
+    "",                  # empty line
+])
+def test_region_from_line_validates(line):
+    with pytest.raises(InputError):
+        Region.from_line(line, 1)
+
+
 def test_sensor_set_rejects_overlap():
     with pytest.raises(InputError):
         SensorSet((Region.interval(0, 2), Region.interval(1, 3)))

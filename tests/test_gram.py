@@ -18,6 +18,7 @@ from hermspec import (
     norm2_over_set,
     scaling_identity_check,
 )
+from hermspec.gram import region_quadrature
 from hermspec.rng import SplitMix64
 
 
@@ -77,13 +78,57 @@ def test_box_gram_tensor_factorization_2d():
 
 
 def test_ball_gram_ground_state_2d():
-    # int_{|x|<r} phi_0(x)^2 dx = 1 - exp(-r^2) in two dimensions; the dyadic
-    # boundary treatment is accurate to O(2^-depth) times the surface measure
+    # int_{|x|<r} phi_0(x)^2 dx = 1 - exp(-r^2) in two dimensions
     basis = BasisIndexSet(2, 0)
     for r in (0.5, 1.5, 3.0):
         S = SensorSet((Region.ball((0.0, 0.0), r),))
         G = gram_over_set(basis, S)
-        assert G.entries[0, 0] == pytest.approx(1.0 - math.exp(-r * r), abs=1e-6)
+        assert G.entries[0, 0] == pytest.approx(1.0 - math.exp(-r * r), abs=1e-12)
+
+
+def test_ball_gram_ground_state_3d():
+    # int_{|x|<r} phi_0(x)^2 dx = erf(r) - (2 r / sqrt(pi)) exp(-r^2) in three dimensions
+    basis = BasisIndexSet(3, 0)
+    for r in (0.5, 2.0):
+        S = SensorSet((Region.ball((0.0, 0.0, 0.0), r),))
+        G = gram_over_set(basis, S)
+        exact = math.erf(r) - 2.0 * r / math.sqrt(math.pi) * math.exp(-r * r)
+        assert G.entries[0, 0] == pytest.approx(exact, abs=1e-12)
+
+
+def polar_disc_gram(basis, center, r, radial=64, angular=128):
+    """Disc Gram by polar coordinates about the disc's own center.
+
+    Gauss-Legendre in the radius and the trapezoid rule in the angle, which is
+    spectrally accurate for a smooth periodic integrand.
+    """
+    x, w = np.polynomial.legendre.leggauss(radial)
+    rho, wr = 0.5 * r * (x + 1.0), 0.5 * r * w
+    phi = 2.0 * math.pi * np.arange(angular) / angular
+    R, P = np.meshgrid(rho, phi, indexing="ij")
+    pts = np.column_stack([(center[0] + R * np.cos(P)).ravel(),
+                           (center[1] + R * np.sin(P)).ravel()])
+    wts = (np.outer(wr * rho, np.full(angular, 2.0 * math.pi / angular))).ravel()
+    table = np.ones((pts.shape[0], basis.size))
+    for i, alpha in enumerate(basis.indices):
+        for j in range(2):
+            table[:, i] *= eval_phi(alpha[j], pts[:, j])
+    return table.T @ (wts[:, None] * table)
+
+
+def test_ball_gram_offcenter_2d_against_polar_oracle():
+    basis = BasisIndexSet(2, 2)
+    for center, r in (((0.7, -0.4), 1.1), ((-1.3, 0.9), 0.45), ((0.2, 1.6), 2.5)):
+        G = gram_over_set(basis, SensorSet((Region.ball(center, r),)))
+        assert np.max(np.abs(G.entries - polar_disc_gram(basis, center, r))) < 1e-12
+
+
+def test_ball_quadrature_1d_is_interval_quadrature():
+    for nodes in (None, 7, 48):
+        pb, wb = region_quadrature(Region.ball((1.2,), 0.7), nodes=nodes)
+        pi, wi = region_quadrature(Region.box((1.2,), (0.7,)), nodes=nodes)
+        assert pb.shape == pi.shape and pb.tobytes() == pi.tobytes()
+        assert wb.tobytes() == wi.tobytes()
 
 
 def test_ball_gram_offcenter_1d():
