@@ -79,11 +79,9 @@ from .control import (
     ControlProblem,
     ControlResult,
     hum_control,
-    observability_constant_num,
     observability_gramian,
     observability_gramian_quadrature,
     semigroup_apply,
-    worst_case_initial_state,
 )
 
 __version__ = "0.1.0"

@@ -18,7 +18,6 @@ from .control import (
     hum_control,
     observability_gramian,
     observability_gramian_quadrature,
-    worst_case_initial_state,
 )
 from .errors import VerificationError
 from .geometry import (
@@ -28,6 +27,8 @@ from .geometry import (
     SensorSet,
     besicovitch_covering,
     example_finite_measure_set,
+    fullspace_window,
+    halfline_window,
     lattice_covering,
 )
 from .gram import (
@@ -72,15 +73,6 @@ class CriterionResult:
         )
 
 
-def _fullspace_box(d, N):
-    half = max(20.0, math.sqrt(2.0 * N + d) + 8.0)
-    return SensorSet((Region.box((0.0,) * d, (half,) * d),))
-
-
-def _halfline_window(N):
-    return SensorSet((Region.interval(0.0, 64.0 * math.sqrt(N + 1.0)),))
-
-
 def _finite_measure_example(window_radius=16):
     spec = CubeDensitySpec(gamma=0.5, beta=0.5, rho=1.0, d=1)
     S, _ = example_finite_measure_set(spec, window_radius)
@@ -92,7 +84,7 @@ def criterion_01():
     worst = 0.0
     for d, N in ((1, 20), (2, 10)):
         basis = BasisIndexSet(d, N)
-        G = gram_over_set(basis, _fullspace_box(d, N))
+        G = gram_over_set(basis, fullspace_window(d, N))
         worst = max(worst, float(np.max(np.abs(G.entries - np.eye(basis.size)))))
     return CriterionResult(1, "orthonormality", worst <= 1e-10, worst, 1e-10)
 
@@ -173,7 +165,7 @@ def criterion_04(seed=DEFAULT_SEED):
             # ladder norms against the quadrature oracle
             df = derivative_operator(f, 0)
             exact = df.norm2()
-            quad = norm2_over_set(df, _fullspace_box(1, N + 1))
+            quad = norm2_over_set(df, fullspace_window(1, N + 1))
             quad_defect = max(quad_defect, abs(exact - quad))
             ok &= quad_defect <= 1e-10
     return CriterionResult(
@@ -203,10 +195,10 @@ def criterion_05(seed=DEFAULT_SEED):
 
 def criterion_06():
     """Sharp constant for the half-line window matches the 2x2 analytic value."""
-    S1 = _halfline_window(1)
+    S1 = halfline_window(1)
     lam1, _ = spectral_constant(gram_over_set(BasisIndexSet(1, 1), S1))
     expected1 = 0.5 - 1.0 / math.sqrt(2.0 * math.pi)
-    S0 = _halfline_window(0)
+    S0 = halfline_window(0)
     lam0, _ = spectral_constant(gram_over_set(BasisIndexSet(1, 0), S0))
     ok = abs(lam1 - expected1) <= 1e-8 and abs(lam0 - 0.5) <= 1e-10
     return CriterionResult(
@@ -262,8 +254,8 @@ def criterion_09():
     T = 1.0
     worst = 0.0
     sets = (
-        _fullspace_box(1, 12),
-        _halfline_window(12),
+        fullspace_window(1, 12),
+        halfline_window(12),
         _finite_measure_example(window_radius=16),
     )
     for S in sets:
@@ -279,21 +271,17 @@ def criterion_10(seed=DEFAULT_SEED):
     basis = BasisIndexSet(1, 12)
     T = 1.0
     S = _finite_measure_example(window_radius=16)
-    G = gram_over_set(basis, S)
+    problem = ControlProblem(basis, gram_over_set(basis, S), T)
+    c_obs = problem.observability_constant()
     rng = SplitMix64(seed + 10)
     worst_resid = 0.0
-    worst_overshoot = float("-inf")
     ok = True
-    c_obs = None
     for _ in range(50):
         phi0 = HermiteVector(basis, rng.unit_coeffs(basis.size))
-        res = hum_control(ControlProblem(basis, G, T, phi0))
-        c_obs = res.c_obs_num
+        res = hum_control(problem, phi0)
         worst_resid = max(worst_resid, res.terminal_residual, res.simulated_residual)
-        worst_overshoot = max(worst_overshoot, res.cost - c_obs)
         ok &= res.terminal_residual <= 1e-8 and res.cost <= c_obs * (1.0 + 1e-8)
-    phi_worst = worst_case_initial_state(G, basis, T)
-    res = hum_control(ControlProblem(basis, G, T, HermiteVector(basis, phi_worst)))
+    res = hum_control(problem, problem.worst_case_initial_state())
     rel = abs(res.cost - c_obs) / c_obs
     ok &= rel <= 1e-6 and worst_resid <= 1e-8
     return CriterionResult(

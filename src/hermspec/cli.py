@@ -29,8 +29,15 @@ from .bounds import (
     thm_cubes_bound,
     thm_general_bound,
 )
-from .control import ControlProblem, hum_control, worst_case_initial_state
-from .errors import ConfigError, InputError, QuadratureError, VerificationError
+from .control import ControlProblem, hum_control
+from .errors import (
+    ConfigError,
+    InputError,
+    NonControllableError,
+    NonObservableError,
+    QuadratureError,
+    VerificationError,
+)
 from .geometry import (
     BallDensitySpec,
     CubeDensitySpec,
@@ -38,6 +45,8 @@ from .geometry import (
     SensorSet,
     besicovitch_covering,
     example_finite_measure_set,
+    fullspace_window,
+    halfline_window,
     lattice_covering,
 )
 from .gram import QuadratureRule, gram_over_set, gram_fullspace_weighted
@@ -184,12 +193,11 @@ def _sensor_set(cfg, sub):
         except InputError as exc:
             raise ConfigError(f"inline set: {exc}") from None
     if kind == "fullspace_window":
-        half = cfg.get("window_radius", max(20.0, math.sqrt(2.0 * N + d) + 8.0))
-        return SensorSet((Region.box((0.0,) * d, (half,) * d),))
+        return fullspace_window(d, N, cfg.get("window_radius"))
     if kind == "halfline_window":
         if d != 1:
             raise ConfigError("set=halfline_window requires dimension=1")
-        return SensorSet((Region.interval(0.0, 64.0 * math.sqrt(N + 1.0)),))
+        return halfline_window(N)
     if kind == "finite_measure":
         spec = CubeDensitySpec(
             gamma=_get(cfg, "gamma", sub), beta=_get(cfg, "beta", sub),
@@ -230,8 +238,7 @@ def cmd_basis_check(cfg):
     N = _get(cfg, "degree_max", "basis-check")
     basis = BasisIndexSet(d, N)
     size_ok = basis.size == math.comb(N + d, d)
-    half = max(20.0, math.sqrt(2.0 * N + d) + 8.0)
-    G = gram_over_set(basis, SensorSet((Region.box((0.0,) * d, (half,) * d),)))
+    G = gram_over_set(basis, fullspace_window(d, N))
     dev = float(np.max(np.abs(G.entries - np.eye(basis.size))))
     rng = SplitMix64(_get(cfg, "seed", "basis-check"))
     f = HermiteVector(basis, rng.unit_coeffs(basis.size))
@@ -445,24 +452,20 @@ def cmd_control(cfg):
     samples = _get(cfg, "samples", "control")
     basis = BasisIndexSet(d, N)
     S = _sensor_set(cfg, "control")
-    G = gram_over_set(basis, S, _quad_rule(cfg))
+    problem = ControlProblem(basis, gram_over_set(basis, S, _quad_rule(cfg)), T)
+    cobs = problem.observability_constant()
     rng = SplitMix64(_get(cfg, "seed", "control"))
     rows = []
     worst_resid = 0.0
-    cobs = float("nan")
     for i in range(samples):
         phi0 = HermiteVector(basis, rng.unit_coeffs(basis.size))
-        res = hum_control(ControlProblem(basis, G, T, phi0),
-                          with_trajectory=(i == 0))
-        cobs = res.c_obs_num
+        res = hum_control(problem, phi0, with_trajectory=(i == 0))
         worst_resid = max(worst_resid, res.terminal_residual, res.simulated_residual)
-        rows.append((i, res.cost, res.terminal_residual, res.simulated_residual,
-                     res.c_obs_num))
+        rows.append((i, res.cost, res.terminal_residual, res.simulated_residual, cobs))
         if i == 0:
             _write(_get(cfg, "out_dir", "control"), "trajectory.csv",
                    res.trajectory_csv())
-    phi_w = worst_case_initial_state(G, basis, T)
-    res_w = hum_control(ControlProblem(basis, G, T, HermiteVector(basis, phi_w)))
+    res_w = hum_control(problem, problem.worst_case_initial_state())
     rel = abs(res_w.cost - cobs) / cobs
     checks = [
         _check("terminal-residual", worst_resid <= 1e-8, worst_resid, 1e-8),
@@ -525,7 +528,7 @@ def main(argv=None):
         if exc.ledger:
             print(exc.ledger, file=sys.stderr)
         return 1
-    except QuadratureError as exc:
+    except (QuadratureError, NonObservableError, NonControllableError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     if failures:

@@ -4,16 +4,20 @@ Everything lives inside E_N (Galerkin truncation): the semigroup acts
 diagonally with eigenvalues 2|alpha| + d, the observability Gramian has the
 closed form B[a,b] = G_S[a,b] (1 - exp(-(lam_a+lam_b) T)) / (lam_a+lam_b), and
 the minimal-norm control is u(t) = 1_S exp(-(T-t)H) eta with B eta =
--exp(-TH) phi_0.  Solves go through the Jacobi eigendecomposition of B with an
-eigenvalue floor; severely non-observable sets surface as typed signals
-instead of blow-ups.
+-exp(-TH) phi_0.  A ControlProblem forms B for one (G_S, T) and factors it
+once by the Jacobi eigendecomposition; every HUM control, the observability
+constant and the worst-case initial state of that system reuse the factors.
+An eigenvalue floor guards every solve, so severely non-observable sets
+surface as typed signals instead of blow-ups.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from .basis import HermiteVector
 from .errors import InputError, NonControllableError, NonObservableError
 from .gram import GramMatrix
 from .spectral import jacobi_eigh
@@ -24,8 +28,6 @@ def semigroup_apply(f, t):
     if t < 0:
         raise InputError("t must be non-negative")
     lam = f.basis.semigroup_eigenvalues()
-    from .basis import HermiteVector
-
     return HermiteVector(f.basis, f.coeffs * np.exp(-lam * t))
 
 
@@ -54,42 +56,52 @@ def observability_gramian_quadrature(G_S, basis, T, nodes=100):
 EIG_FLOOR = 1e-14
 
 
-def _b_factorization(B):
-    vals, vecs = jacobi_eigh(B.entries)
-    return vals, vecs
-
-
-def observability_constant_num(B, basis, T):
-    """Numeric observability constant: C^2 = max_phi (phi^T E phi)/(phi^T B phi).
-
-    E = diag(exp(-2 lam T)).  Computed through the eigendecomposition
-    B = V Lam V^T as the top eigenvalue of Lam^(-1/2) V^T E V Lam^(-1/2), which
-    has the same spectrum as the textbook E^(-1/2) B E^(-1/2) formulation but
-    avoids forming exp(+2 lam T) factors.
-    """
-    vals, vecs = _b_factorization(B)
-    if float(vals[0]) <= EIG_FLOOR:
-        raise NonObservableError(
-            f"Gramian smallest eigenvalue {float(vals[0])} at or below floor {EIG_FLOOR}"
-        )
-    lam = basis.semigroup_eigenvalues()
-    E_half = np.exp(-lam * T)
-    A = (vecs * (1.0 / np.sqrt(vals))[None, :]).T * E_half[None, :]  # Lam^(-1/2) V^T F
-    M = A @ A.T
-    mvals, _ = jacobi_eigh(M)
-    return math.sqrt(float(mvals[-1]))
-
-
-@dataclass
 class ControlProblem:
-    basis: object
-    G_S: GramMatrix
-    T: float
-    phi0: object  # HermiteVector
+    """The E_N control system of one sensor Gram G_S and horizon T.
 
-    def __post_init__(self):
-        if self.T <= 0:
-            raise InputError("T must be positive")
+    B is formed and factored as B = V Lam V^T once, at construction.  The
+    observability operator A = Lam^(-1/2) V^T exp(-TH) and the top eigenpair
+    of A A^T are built on first use and shared by observability_constant()
+    and worst_case_initial_state(); hum_control reads the same factorization,
+    so one problem serves any number of controls.
+    """
+
+    def __init__(self, basis, G_S, T):
+        self.basis = basis
+        self.G_S = G_S
+        self.T = T
+        self.B = observability_gramian(G_S, basis, T)
+        self.lam = basis.semigroup_eigenvalues()
+        self.vals, self.vecs = jacobi_eigh(self.B.entries)
+
+    def _require_floor(self, error):
+        if float(self.vals[0]) <= EIG_FLOOR:
+            raise error(
+                f"Gramian smallest eigenvalue {float(self.vals[0])} at or below floor {EIG_FLOOR}"
+            )
+
+    @cached_property
+    def _top(self):
+        self._require_floor(NonObservableError)
+        E_half = np.exp(-self.lam * self.T)
+        A = (self.vecs * (1.0 / np.sqrt(self.vals))[None, :]).T * E_half[None, :]
+        mvals, mvecs = jacobi_eigh(A @ A.T)
+        return A, float(mvals[-1]), mvecs[:, -1]
+
+    def observability_constant(self):
+        """Numeric observability constant: C^2 = max_phi (phi^T E phi)/(phi^T B phi).
+
+        E = diag(exp(-2 lam T)).  C^2 is the top eigenvalue of A A^T, which
+        has the same spectrum as the textbook E^(-1/2) B E^(-1/2) formulation
+        but avoids forming exp(+2 lam T) factors.
+        """
+        return math.sqrt(self._top[1])
+
+    def worst_case_initial_state(self):
+        """Unit phi0 maximizing the HUM cost; its cost/||phi0|| equals C_obs,num."""
+        A, _, u = self._top
+        phi0 = A.T @ u
+        return HermiteVector(self.basis, phi0 / np.linalg.norm(phi0))
 
 
 @dataclass
@@ -98,7 +110,6 @@ class ControlResult:
     cost: float
     terminal_residual: float
     simulated_residual: float
-    c_obs_num: float
     trajectory: list = field(default_factory=list)
 
     def trajectory_csv(self):
@@ -118,86 +129,50 @@ class ControlResult:
         return "\n".join(lines) + "\n"
 
 
-def hum_control(problem, time_nodes=256, with_trajectory=False):
-    """Minimal-norm null control within E_N by the Hilbert Uniqueness Method.
+def hum_control(problem, phi0, time_nodes=256, with_trajectory=False):
+    """Minimal-norm null control of phi0 within E_N by the Hilbert Uniqueness Method.
 
-    Solves B eta = -exp(-TH) phi0 through the Jacobi eigendecomposition of B
-    (floor 1e-14), then simulates the controlled trajectory by exact
-    exponential integration on a uniform time grid.
+    Solves B eta = -exp(-TH) phi0 with the problem's factorization of B (floor
+    1e-14), then simulates the controlled trajectory by exact exponential
+    integration on a uniform time grid.  With the adjoint state
+    a(t) = exp(Lam (t - T)) eta, the Duhamel integral over a step [t - h, t]
+    equals P a(t) with P[a,b] = G[a,b] (1 - exp(-(lam_a + lam_b) h)) / (lam_a + lam_b),
+    so one matrix P serves every step.
     """
-    basis, T = problem.basis, problem.T
-    lam = basis.semigroup_eigenvalues()
-    B = observability_gramian(problem.G_S, basis, T)
-    phi0 = problem.phi0.coeffs
+    T, lam = problem.T, problem.lam
+    vals, vecs = problem.vals, problem.vecs
+    phi0 = phi0.coeffs
     g = np.exp(-lam * T) * phi0  # exp(-TH) phi0
 
     if float(np.linalg.norm(phi0)) == 0.0:
-        return ControlResult(np.zeros_like(phi0), 0.0, 0.0, 0.0,
-                             _cobs_or_nan(B, basis, T))
+        return ControlResult(np.zeros_like(phi0), 0.0, 0.0, 0.0)
 
-    vals, vecs = _b_factorization(B)
-    if float(vals[0]) <= EIG_FLOOR:
-        raise NonControllableError(
-            f"Gramian smallest eigenvalue {float(vals[0])} at or below floor {EIG_FLOOR}"
-        )
+    problem._require_floor(NonControllableError)
     y = vecs.T @ g
     eta = -vecs @ (y / vals)
     # cost^2 = eta^T B eta = || Lam^(-1/2) V^T g ||^2, evaluated without cancellation
     cost = float(np.linalg.norm(y / np.sqrt(vals)))
-    terminal = g + B.entries @ eta
-    terminal_residual = float(np.linalg.norm(terminal))
+    terminal_residual = float(np.linalg.norm(g + problem.B.entries @ eta))
 
     G = problem.G_S.entries
-    phi = phi0.copy()
     h = T / time_nodes
-    running2 = 0.0
+    t = h * np.arange(time_nodes + 1)
+    a = np.exp(lam[None, :] * (t[:, None] - T)) * eta  # row k: a(t_k)
+    lsum = lam[:, None] + lam[None, :]
+    drive = a[1:] @ (G * (-np.expm1(-lsum * h) / lsum)).T
+    decay = np.exp(-lam * h)
+    phis = [phi0]
+    for f in drive:
+        phis.append(decay * phis[-1] + f)
+    simulated_residual = float(np.linalg.norm(phis[-1]))
+
     trajectory = []
     if with_trajectory:
-        a0 = np.exp(lam * (0.0 - T)) * eta
-        u0 = G @ a0
-        trajectory.append([0.0, *phi, *u0, 0.0])
-    lsum = lam[:, None] + lam[None, :]
-    for step in range(time_nodes):
-        t0 = step * h
-        t1 = t0 + h
-        # exact step: phi(t1) = e^(-Lam h) phi(t0) + int_t0^t1 e^(-Lam(t1-s)) G e^(-Lam(T-s)) eta ds
-        # kernel entry (a,b): [e^(lam_b (t1-T)) - e^(-lam_a h + lam_b (t0-T))] / (lam_a + lam_b)
-        E1 = np.exp(lam[None, :] * (t1 - T))
-        E0 = np.exp(-lam[:, None] * h + lam[None, :] * (t0 - T))
-        kernel = (E1 - E0) / lsum
-        phi = np.exp(-lam * h) * phi + (G * kernel) @ eta
+        u = a @ G  # u(t) = G a(t); G is symmetric
         # running cost: ||u(t)||^2 = a(t)^T G a(t), trapezoid on the step ends
-        a_t0 = np.exp(lam * (t0 - T)) * eta
-        a_t1 = np.exp(lam * (t1 - T)) * eta
-        running2 += 0.5 * h * (a_t0 @ G @ a_t0 + a_t1 @ G @ a_t1)
-        if with_trajectory:
-            u = G @ a_t1
-            trajectory.append([t1, *phi, *u, math.sqrt(max(running2, 0.0))])
-    simulated_residual = float(np.linalg.norm(phi))
+        q = np.sum(u * a, axis=1)
+        running2 = np.concatenate(([0.0], np.cumsum(0.5 * h * (q[:-1] + q[1:]))))
+        running = np.sqrt(np.maximum(running2, 0.0))
+        trajectory = [[t[k], *phis[k], *u[k], running[k]] for k in range(time_nodes + 1)]
 
-    return ControlResult(eta, cost, terminal_residual, simulated_residual,
-                         _cobs_or_nan(B, basis, T), trajectory)
-
-
-def _cobs_or_nan(B, basis, T):
-    try:
-        return observability_constant_num(B, basis, T)
-    except NonObservableError:
-        return float("nan")
-
-
-def worst_case_initial_state(G_S, basis, T):
-    """Unit phi0 maximizing the HUM cost; its cost/||phi0|| equals C_obs,num."""
-    B = observability_gramian(G_S, basis, T)
-    vals, vecs = _b_factorization(B)
-    if float(vals[0]) <= EIG_FLOOR:
-        raise NonObservableError("Gramian singular at floor")
-    lam = basis.semigroup_eigenvalues()
-    E_half = np.exp(-lam * T)
-    A = (vecs * (1.0 / np.sqrt(vals))[None, :]).T * E_half[None, :]
-    M = A @ A.T
-    mvals, mvecs = jacobi_eigh(M)
-    u = mvecs[:, -1]
-    phi0 = A.T @ u
-    phi0 /= np.linalg.norm(phi0)
-    return phi0
+    return ControlResult(eta, cost, terminal_residual, simulated_residual, trajectory)

@@ -353,6 +353,22 @@ class CoveringFamily:
         )
 
 
+def fullspace_window(d, N, half=None):
+    """The box [-half, half]^d standing in for R^d on E_N.
+
+    The default half-width max(20, sqrt(2N + d) + 8) lies 8 beyond the
+    classical turning radius sqrt(2N + d) of degree N.
+    """
+    if half is None:
+        half = max(20.0, math.sqrt(2.0 * N + d) + 8.0)
+    return SensorSet((Region.box((0.0,) * d, (half,) * d),))
+
+
+def halfline_window(N):
+    """The interval [0, 64 sqrt(N + 1)] standing in for the half-line on E_N (d = 1)."""
+    return SensorSet((Region.interval(0.0, 64.0 * math.sqrt(N + 1.0)),))
+
+
 def example_finite_measure_set(spec, window_radius):
     """Union of shrunken lattice cubes with side r_k = gamma^((1+|k|^beta)/d).
 

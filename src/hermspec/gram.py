@@ -23,19 +23,23 @@ from .basis import BasisIndexSet, eval_phi_table
 from .errors import InputError, QuadratureError
 
 
+# Node doubling stops here: Gauss-Legendre nodes come from an n x n eigenproblem
+# (numpy leggauss takes about 0.7 s at 2048 nodes and 4.5 s at 4096).
+MAX_NODES = 2048
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     nodes: int = 64
     tol: float = 1e-11
-    max_doublings: int = 12
     panel_max: float = 4.0
 
     def __post_init__(self):
-        if self.nodes < 1:
-            raise InputError("nodes must be at least 1")
+        if not 1 <= self.nodes <= MAX_NODES:
+            raise InputError(f"nodes must be between 1 and {MAX_NODES}")
         if self.tol <= 0:
             raise InputError("tol must be positive")
-        if self.panel_max <= 0 or self.max_doublings < 0:
+        if self.panel_max <= 0:
             raise InputError("invalid quadrature rule parameters")
 
 
@@ -185,12 +189,12 @@ def _region_gram(basis, region, nodes, rule):
 
 
 def gram_over_set(basis, S, rule=DEFAULT_RULE):
-    """Gram matrix over a sensor set, adaptively refined by node doubling."""
+    """Gram matrix over a sensor set, adaptively refined by node doubling up to MAX_NODES."""
     if not S.regions:
         return GramMatrix(basis, np.zeros((basis.size, basis.size)))
     nodes = rule.nodes
-    prev = sum(_region_gram(basis, r, nodes, rule) for r in S.regions)
-    for _ in range(rule.max_doublings):
+    prev = cur = sum(_region_gram(basis, r, nodes, rule) for r in S.regions)
+    while 2 * nodes <= MAX_NODES:
         nodes *= 2
         cur = sum(_region_gram(basis, r, nodes, rule) for r in S.regions)
         scale = max(1.0, float(np.max(np.abs(cur))))
@@ -199,7 +203,8 @@ def gram_over_set(basis, S, rule=DEFAULT_RULE):
             return GramMatrix(basis, cur)
         prev = cur
     raise QuadratureError(
-        f"no convergence after {rule.max_doublings} node doublings", previous=prev, current=cur
+        f"no convergence at {nodes} nodes (doubling stops at {MAX_NODES})",
+        previous=prev, current=cur
     )
 
 

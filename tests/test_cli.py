@@ -85,6 +85,30 @@ def test_cli_exit_1_on_quadrature_failure(tmp_path, capsys):
     assert "verification failure: no convergence" in capsys.readouterr().err
 
 
+def test_cli_exit_1_on_unreachable_tolerance_at_default_nodes(tmp_path, capsys):
+    # doubling from the default 64 nodes stops at the node ceiling
+    cfg = write(tmp_path, "q.cfg", (
+        "dimension = 1\n"
+        "degree_max = 2\n"
+        "region = box 0.0 1.0\n"
+        f"out_dir = {tmp_path / 'out'}\n"
+    ))
+    assert main(["spectral", "--config", cfg, "--set", "quad_tol=1e-20"]) == 1
+    assert "no convergence at 2048 nodes" in capsys.readouterr().err
+
+
+def test_cli_exit_2_on_nodes_above_ceiling(tmp_path, capsys):
+    cfg = write(tmp_path, "q.cfg", (
+        "dimension = 1\n"
+        "degree_max = 2\n"
+        "region = box 0.0 1.0\n"
+        f"out_dir = {tmp_path / 'out'}\n"
+    ))
+    assert main(["spectral", "--config", cfg, "--set", "nodes=4096"]) == 2
+    assert "config error: quadrature rule: nodes must be between 1 and 2048" in (
+        capsys.readouterr().err)
+
+
 def test_spectral_halfline_example(tmp_path):
     cfg = write(tmp_path, "s.cfg", (
         "dimension = 1\n"
@@ -183,6 +207,18 @@ def test_control_subcommand(tmp_path):
     assert main(["control", "--config", cfg]) == 0
     assert (tmp_path / "out" / "control.csv").exists()
     assert (tmp_path / "out" / "trajectory.csv").exists()
+
+
+def test_control_exit_1_on_unobservable_set(tmp_path, capsys):
+    # a thin box far out in the Gaussian tail leaves the Gramian below its floor
+    cfg = write(tmp_path, "ctl.cfg", (
+        "dimension = 1\n"
+        "degree_max = 3\n"
+        "region = box 30.0 0.1\n"
+        f"out_dir = {tmp_path / 'out'}\n"
+    ))
+    assert main(["control", "--config", cfg]) == 1
+    assert "verification failure: Gramian smallest eigenvalue" in capsys.readouterr().err
 
 
 def test_bounds_subcommand(tmp_path):

@@ -16,11 +16,9 @@ from hermspec import (
     gram_over_set,
     hum_control,
     norm2_over_set,
-    observability_constant_num,
     observability_gramian,
     observability_gramian_quadrature,
     semigroup_apply,
-    worst_case_initial_state,
 )
 from hermspec.rng import SplitMix64
 
@@ -70,14 +68,18 @@ def test_gramian_requires_positive_horizon():
     basis, G = make_system(2)
     with pytest.raises(InputError):
         observability_gramian(G, basis, 0.0)
+    with pytest.raises(InputError):
+        ControlProblem(basis, G, 0.0)
 
 
 def test_nonobservable_empty_set():
     basis = BasisIndexSet(1, 3)
     G = gram_over_set(basis, SensorSet(()))
-    B = observability_gramian(G, basis, 1.0)
+    problem = ControlProblem(basis, G, 1.0)
     with pytest.raises(NonObservableError):
-        observability_constant_num(B, basis, 1.0)
+        problem.observability_constant()
+    with pytest.raises(NonObservableError):
+        problem.worst_case_initial_state()
 
 
 def test_noncontrollable_empty_set():
@@ -85,14 +87,14 @@ def test_noncontrollable_empty_set():
     G = gram_over_set(basis, SensorSet(()))
     phi0 = HermiteVector(basis, np.array([1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(NonControllableError):
-        hum_control(ControlProblem(basis, G, 1.0, phi0))
+        hum_control(ControlProblem(basis, G, 1.0), phi0)
 
 
 def test_hum_drives_state_to_zero():
     basis, G = make_system(6, window=False)
     rng = SplitMix64(61)
     phi0 = HermiteVector(basis, rng.unit_coeffs(basis.size))
-    res = hum_control(ControlProblem(basis, G, 1.0, phi0))
+    res = hum_control(ControlProblem(basis, G, 1.0), phi0)
     assert res.terminal_residual < 1e-10
     assert res.simulated_residual < 1e-10
     assert res.cost > 0.0
@@ -104,7 +106,7 @@ def test_hum_cost_identity():
     rng = SplitMix64(67)
     phi0 = HermiteVector(basis, rng.unit_coeffs(basis.size))
     T = 0.8
-    res = hum_control(ControlProblem(basis, G, T, phi0))
+    res = hum_control(ControlProblem(basis, G, T), phi0)
     lam = basis.semigroup_eigenvalues()
     g = np.exp(-lam * T) * phi0.coeffs
     assert res.cost ** 2 == pytest.approx(-float(res.eta @ g), rel=1e-10)
@@ -114,7 +116,7 @@ def test_hum_trajectory_running_cost_converges_to_total():
     basis, G = make_system(4, window=False)
     rng = SplitMix64(71)
     phi0 = HermiteVector(basis, rng.unit_coeffs(basis.size))
-    res = hum_control(ControlProblem(basis, G, 1.0, phi0), with_trajectory=True)
+    res = hum_control(ControlProblem(basis, G, 1.0), phi0, with_trajectory=True)
     final_running = res.trajectory[-1][-1]
     assert final_running == pytest.approx(res.cost, rel=1e-4)
     csv = res.trajectory_csv()
@@ -125,29 +127,29 @@ def test_hum_trajectory_running_cost_converges_to_total():
 def test_zero_initial_state_costs_nothing():
     basis, G = make_system(3)
     phi0 = HermiteVector(basis, np.zeros(basis.size))
-    res = hum_control(ControlProblem(basis, G, 1.0, phi0))
+    res = hum_control(ControlProblem(basis, G, 1.0), phi0)
     assert res.cost == 0.0
     assert res.terminal_residual == 0.0
 
 
 def test_cost_bounded_by_observability_constant():
     basis, G = make_system(6, window=False)
-    B = observability_gramian(G, basis, 1.0)
-    c_obs = observability_constant_num(B, basis, 1.0)
+    problem = ControlProblem(basis, G, 1.0)
+    c_obs = problem.observability_constant()
     rng = SplitMix64(73)
     for _ in range(10):
         phi0 = HermiteVector(basis, rng.unit_coeffs(basis.size))
-        res = hum_control(ControlProblem(basis, G, 1.0, phi0))
+        res = hum_control(problem, phi0)
         assert res.cost <= c_obs * (1.0 + 1e-10)
 
 
 def test_worst_case_duality():
     basis, G = make_system(6, window=False)
-    B = observability_gramian(G, basis, 1.0)
-    c_obs = observability_constant_num(B, basis, 1.0)
-    phi0 = worst_case_initial_state(G, basis, 1.0)
-    assert np.linalg.norm(phi0) == pytest.approx(1.0)
-    res = hum_control(ControlProblem(basis, G, 1.0, HermiteVector(basis, phi0)))
+    problem = ControlProblem(basis, G, 1.0)
+    c_obs = problem.observability_constant()
+    phi0 = problem.worst_case_initial_state()
+    assert np.linalg.norm(phi0.coeffs) == pytest.approx(1.0)
+    res = hum_control(problem, phi0)
     assert res.cost == pytest.approx(c_obs, rel=1e-8)
 
 
@@ -155,8 +157,9 @@ def test_observability_constant_brute_force():
     # direct maximization of ||exp(-TH) phi|| / sqrt(phi^T B phi) over random phi
     basis, G = make_system(4, window=False)
     T = 1.0
-    B = observability_gramian(G, basis, T)
-    c_obs = observability_constant_num(B, basis, T)
+    problem = ControlProblem(basis, G, T)
+    B = problem.B
+    c_obs = problem.observability_constant()
     lam = basis.semigroup_eigenvalues()
     rng = SplitMix64(79)
     best = 0.0
@@ -174,6 +177,47 @@ def test_full_window_control_is_cheapest():
     G_full = gram_over_set(basis, SensorSet((Region.interval(-20, 20),)))
     G_small = gram_over_set(basis, SensorSet((Region.interval(0.0, 1.0),)))
     T = 1.0
-    c_full = observability_constant_num(observability_gramian(G_full, basis, T), basis, T)
-    c_small = observability_constant_num(observability_gramian(G_small, basis, T), basis, T)
+    c_full = ControlProblem(basis, G_full, T).observability_constant()
+    c_small = ControlProblem(basis, G_small, T).observability_constant()
     assert c_full < c_small
+
+
+def test_problem_factors_gramian_once(monkeypatch):
+    import hermspec.control as control
+
+    calls = []
+    real = control.jacobi_eigh
+
+    def counted(A, *args, **kwargs):
+        calls.append(A.shape)
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(control, "jacobi_eigh", counted)
+    basis, G = make_system(6, window=False)
+    problem = ControlProblem(basis, G, 1.0)
+    rng = SplitMix64(83)
+    for _ in range(50):
+        hum_control(problem, HermiteVector(basis, rng.unit_coeffs(basis.size)))
+    c_obs = problem.observability_constant()
+    res = hum_control(problem, problem.worst_case_initial_state())
+    assert res.cost == pytest.approx(c_obs, rel=1e-8)
+    assert len(calls) == 2
+
+
+def test_simulation_step_matches_duhamel_integral():
+    # one exact step from phi0: phi(h) - e^(-Lam h) phi0 = int_0^h e^(-Lam(h-s)) G e^(-Lam(T-s)) eta ds
+    from scipy.integrate import quad_vec
+
+    basis, G = make_system(5, window=False)
+    T, steps = 0.6, 7
+    h = T / steps
+    rng = SplitMix64(89)
+    phi0 = HermiteVector(basis, rng.unit_coeffs(basis.size))
+    res = hum_control(ControlProblem(basis, G, T), phi0, time_nodes=steps, with_trajectory=True)
+    lam = basis.semigroup_eigenvalues()
+    duhamel, _ = quad_vec(
+        lambda s: np.exp(-lam * (h - s)) * (G.entries @ (np.exp(-lam * (T - s)) * res.eta)),
+        0.0, h, epsabs=1e-16, epsrel=1e-14,
+    )
+    phi_h = np.asarray(res.trajectory[1][1:1 + basis.size])
+    assert np.max(np.abs(phi_h - np.exp(-lam * h) * phi0.coeffs - duhamel)) <= 1e-13

@@ -18,7 +18,7 @@ from hermspec import (
     norm2_over_set,
     scaling_identity_check,
 )
-from hermspec.gram import region_quadrature
+from hermspec.gram import MAX_NODES, region_quadrature
 from hermspec.rng import SplitMix64
 
 
@@ -216,5 +216,8 @@ def test_scaling_identity():
 def test_quadrature_rule_validation():
     with pytest.raises(InputError):
         QuadratureRule(nodes=0)
+    with pytest.raises(InputError):
+        QuadratureRule(nodes=MAX_NODES + 1)
+    QuadratureRule(nodes=MAX_NODES)
     with pytest.raises(InputError):
         QuadratureRule(tol=-1.0)
