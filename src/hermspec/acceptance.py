@@ -361,8 +361,11 @@ def results_csv(results):
     return "\n".join(lines) + "\n"
 
 
-def criterion_13(seed=DEFAULT_SEED):
-    """Determinism: two full runs serialize to byte-identical CSV."""
-    a = results_csv(run_criteria(seed))
+def criterion_13(seed, results):
+    """Determinism: a report's own criteria pass (results) and one fresh pass
+    serialize to byte-identical CSV.  run_criteria clears the suite cache, so
+    the two passes are independent.
+    """
+    a = results_csv(results)
     b = results_csv(run_criteria(seed))
     return CriterionResult(13, "determinism", a == b, float(a == b), 1.0)

@@ -7,7 +7,7 @@ repeat to describe an inline sensor set.  Every subcommand writes
 `<out_dir>/<subcommand>.csv` plus `<out_dir>/manifest.txt` with one
 `criterion_id status value tolerance` line per asserted check.  Exit code 0
 iff every asserted check passes, 1 on a numerical verification failure, 2 on
-a config parse error.
+a config error (a parse error, or a parameter the computation rejects).
 """
 
 import argparse
@@ -36,6 +36,7 @@ from .errors import (
     NonControllableError,
     NonObservableError,
     QuadratureError,
+    ResolutionError,
     VerificationError,
 )
 from .geometry import (
@@ -479,7 +480,7 @@ def cmd_control(cfg):
 def cmd_report(cfg):
     seed = _get(cfg, "seed", "report")
     results = run_criteria(seed)
-    results.append(criterion_13(seed))
+    results.append(criterion_13(seed, results))
     outdir = _get(cfg, "out_dir", "report")
     _write(outdir, "report.csv", results_csv(results))
     _write(outdir, "manifest.txt",
@@ -520,7 +521,7 @@ def main(argv=None):
             loc = f" (line {exc.line}, column {exc.column})"
         print(f"config error{loc}: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, InputError, ResolutionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

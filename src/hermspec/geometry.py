@@ -14,6 +14,10 @@ import numpy as np
 from .bounds import concentration_radius, unit_ball_volume
 from .errors import InputError, ResolutionError
 
+# ceiling on the grid of a Besicovitch covering, and its band size
+MAX_GRID_POINTS = 2 ** 27
+_BAND_POINTS = 2 ** 16
+
 
 @dataclass(frozen=True)
 class Region:
@@ -255,19 +259,12 @@ class BallDensitySpec:
             out = self.R * (1.0 + np.sum(x * x, axis=1)) ** ((1.0 - self.eps) / 2.0)
         return float(out[0]) if single else out
 
-    def radius_cap(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[None, :]
-        return self.R * (1.0 + np.sum(x * x, axis=1)) ** ((1.0 - self.eps) / 2.0)
-
 
 @dataclass(frozen=True)
 class CoveringFamily:
     """Essential covering (Q_k) with overlap bound kappa and shape parameters.
 
-    central holds the indices of J_c; transforms (Psi_k) default to the
-    identity everywhere and are stored only for interface completeness.
+    central holds the indices of J_c.
     """
 
     elements: tuple
@@ -277,7 +274,6 @@ class CoveringFamily:
     eps: float
     central: tuple
     meta: dict = field(default_factory=dict)
-    transforms: tuple = None
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
@@ -478,13 +474,27 @@ def lattice_covering(rho, d, N, kappa=1, window_margin=None):
     return cov
 
 
-def besicovitch_covering(spec, d, N, K=16, chunk=65536):
+def besicovitch_covering(spec, d, N, K=16):
     """Greedy grid-based ball covering of the concentration ball A = B(0, C sqrt(N)).
 
-    Rasterizes A at resolution min rho / 8, then repeatedly selects an
-    uncovered grid point maximizing rho(.) and adds the ball centered there.
-    The realized overlap is measured on the grid and reported in meta; the
-    assumed overlap bound kappa = K^d enters the covering parameters.
+    Rasterizes A at resolution h = rho(0) / 8 and visits A's grid points in
+    descending rho(.), ties in ascending flat (row-major) index; each point
+    not yet covered becomes the center of a ball of radius rho(.).  The visit
+    order is built band by band, never over the whole grid:
+
+    - power profile, eps < 1: rho grows with r2 = |x|^2, and r2 strictly with
+      the integer q = |i|^2 of the grid index i.  Shells of about
+      _BAND_POINTS points are generated walking q downward and each is sorted
+      by (-rho, flat index); the points tying a shell's smallest rho wait for
+      the next shell, so a tie never straddles two shells.
+    - constant radius (profile "constant", or eps = 1): flat order, in blocks
+      of leading-axis rows.
+
+    The whole-grid state is one bool covered array and one int16 overlap
+    count.  meta["kappa_measured"] is the largest count over A's grid points;
+    the assumed overlap bound kappa = K^d enters the covering parameters.
+    Raises ResolutionError when the grid needs more than 40000 points per
+    semi-axis or more than MAX_GRID_POINTS in all.
     """
     if N < 1:
         raise InputError("N must be at least 1")
@@ -494,48 +504,53 @@ def besicovitch_covering(spec, d, N, K=16, chunk=65536):
     # radius profile minimum over A: at the origin for both admitted profiles
     rho_min = spec.radius_at(np.zeros(d))
     h = rho_min / 8.0
-    npts_axis = int(math.ceil(A_radius / h))
-    if npts_axis > 40000:
+    n = int(math.ceil(A_radius / h))
+    if n > 40000:
         raise ResolutionError(
-            f"grid of {npts_axis} points per semi-axis required; refine the window or profile"
+            f"grid of {n} points per semi-axis required; refine the window or profile"
         )
-    side = 2 * npts_axis + 1
-    axis = np.arange(-npts_axis, npts_axis + 1) * h
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    r2 = sum(g * g for g in grids).ravel()
-    active = r2 <= A_radius ** 2
-    if spec.profile == "constant":
-        radii = np.full(r2.shape, float(spec.R))
+    side = 2 * n + 1
+    if side ** d > MAX_GRID_POINTS:
+        raise ResolutionError(
+            f"grid of {side ** d} points exceeds {MAX_GRID_POINTS}; refine the window or profile"
+        )
+    axis = np.arange(-n, n + 1) * h
+    sq = axis * axis
+    A2 = A_radius ** 2
+    covered = np.zeros((side,) * d, dtype=bool)
+    overlap = np.zeros((side,) * d, dtype=np.int16)
+    covered_flat = covered.reshape(-1)
+    if spec.profile == "power" and spec.eps < 1.0:
+        bands = _shell_bands(spec, sq, d, A2, covered_flat)
     else:
-        radii = spec.R * (1.0 + r2) ** ((1.0 - spec.eps) / 2.0)
-    if np.any(radii[active] < h):
-        raise ResolutionError("radius profile falls below the grid resolution")
-
-    # grid points outside A start out "covered" so they are never selected
-    covered = ~active
-    overlap = np.zeros(r2.shape, dtype=np.int16)
-    order = np.flatnonzero(active)
-    order = order[np.argsort(-radii[order], kind="stable")]
+        bands = _slab_bands(float(spec.R), sq, d, A2, covered_flat)
 
     centers = []
     center_radii = []
-    pos = 0
-    n = order.shape[0]
-    while pos < n:
-        block = order[pos:min(pos + chunk, n)]
-        for idx in block[~covered[block]]:
-            if covered[idx]:
+    # each band holds the points still uncovered when the greedy reaches it
+    for flat, radii in bands:
+        if np.any(radii < h):
+            raise ResolutionError("radius profile falls below the grid resolution")
+        order = np.lexsort((flat, -radii))
+        flat, radii = flat[order], radii[order]
+        k = 0
+        while k < flat.size:
+            # jump to the first uncovered point, one window of the band at a time
+            window = covered_flat[flat[k:k + 256]]
+            if window.all():
+                k += window.size
                 continue
-            c = np.array(np.unravel_index(int(idx), (side,) * d)) - npts_axis
-            c = c * h
-            r = float(radii[idx])
-            _mark_ball(covered, overlap, c, r, h, npts_axis, side, d)
+            k += int(window.argmin())
+            idx, r = int(flat[k]), float(radii[k])
+            k += 1
+            c = (np.array(np.unravel_index(idx, covered.shape)) - n) * h
+            _mark_ball(covered, overlap, c, r, h, n)
             centers.append(c)
             center_radii.append(r)
-        pos += chunk
-    if covered.sum() != covered.size:  # pragma: no cover - greedy covers by construction
-        raise ResolutionError("greedy covering terminated with uncovered grid points")
 
+    overlap_flat = overlap.reshape(-1)
+    kappa_measured = max(int(overlap_flat[flat].max(initial=0))
+                         for flat in _row_blocks(sq, d, A2))
     elements = tuple(Region.ball(c, r) for c, r in zip(centers, center_radii))
     cov = CoveringFamily(
         elements,
@@ -548,7 +563,7 @@ def besicovitch_covering(spec, d, N, K=16, chunk=65536):
             "C": C,
             "A_radius": A_radius,
             "resolution": h,
-            "kappa_measured": int(overlap[active].max()) if len(overlap) else 0,
+            "kappa_measured": kappa_measured,
             "N": N,
             "K": K,
             "has_remainder": True,
@@ -558,20 +573,112 @@ def besicovitch_covering(spec, d, N, K=16, chunk=65536):
     return cov
 
 
-def _mark_ball(covered, overlap, center, radius, h, npts_axis, side, d):
-    """Mark all grid points within the ball as covered and bump the overlap count."""
-    lo = np.maximum(np.floor((center - radius) / h).astype(np.int64), -npts_axis)
-    hi = np.minimum(np.ceil((center + radius) / h).astype(np.int64), npts_axis)
-    axes = [np.arange(lo[j], hi[j] + 1) for j in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    dist2 = sum((g * h - c) ** 2 for g, c in zip(grids, center))
-    mask = (dist2 <= radius ** 2).ravel()
-    flat = grids[0].ravel() + npts_axis
-    for j in range(1, d):
-        flat = flat * side + (grids[j].ravel() + npts_axis)
-    idx = flat[mask]
-    covered[idx] = True
-    overlap[idx] += 1
+def _axis_view(values, j, d):
+    """values shaped to broadcast along axis j of a d-dimensional grid."""
+    return values.reshape([-1 if k == j else 1 for k in range(d)])
+
+
+def _row_blocks(sq, d, A2):
+    """Flat indices of A's grid points, in flat order, one block of leading-axis rows at a time.
+
+    sq holds the squared axis coordinates; r2 sums them axis by axis, as the
+    membership test r2 <= A2 has always done.
+    """
+    side = sq.size
+    row = side ** (d - 1)
+    rows = max(1, _BAND_POINTS // row)
+    for a in range(0, side, rows):
+        r2 = sum(_axis_view(x, j, d)
+                 for j, x in enumerate([sq[a:a + rows]] + [sq] * (d - 1)))
+        yield np.flatnonzero(r2.ravel() <= A2) + a * row
+
+
+def _slab_bands(R, sq, d, A2, covered_flat):
+    """(flat, radii) of A's uncovered grid points for a constant radius R, in flat order."""
+    for flat in _row_blocks(sq, d, A2):
+        flat = flat[~covered_flat[flat]]
+        yield flat, np.full(flat.size, R)
+
+
+def _shell_bands(spec, sq, d, A2, covered_flat):
+    """(flat, radii) of A's uncovered grid points for the power profile, in bands of descending radius.
+
+    Every radius in a band is at least every radius in the bands after it;
+    the greedy sorts each band by (-radius, flat).  Points already marked in
+    covered_flat are dropped before their radii are computed.
+    """
+    p = (1.0 - spec.eps) / 2.0
+    n = sq.size // 2
+    # a band spans at least as many points as the prefixes it enumerates
+    per_q = max(_BAND_POINTS, sq.size ** (d - 1)) / unit_ball_volume(d)
+    carry_flat = np.zeros(0, dtype=np.int64)
+    carry_radii = np.zeros(0)
+    # q of A's outermost grid points (sq[n + 1] = h^2), with a margin for rounding
+    q_hi = min(d * n * n, int(A2 / sq[n + 1] * (1.0 + 1e-9)) + 1)
+    while q_hi >= 0:
+        q_lo = int(max(q_hi ** (d / 2.0) - per_q, 0.0) ** (2.0 / d))
+        flat, r2 = _lattice_shell(sq, d, q_lo, q_hi)
+        new = (r2 <= A2) & ~covered_flat[flat]
+        kept = ~covered_flat[carry_flat]
+        flat = np.concatenate([carry_flat[kept], flat[new]])
+        radii = np.concatenate([carry_radii[kept], spec.R * (1.0 + r2[new]) ** p])
+        if q_lo > 0 and flat.size:
+            # points below q_lo have radii <= the smallest one here: hold back its ties
+            last = radii == radii.min()
+            yield flat[~last], radii[~last]
+            carry_flat, carry_radii = flat[last], radii[last]
+        else:
+            yield flat, radii
+        q_hi = q_lo - 1
+
+
+def _lattice_shell(sq, d, q_lo, q_hi):
+    """Flat indices and r2 of the grid points i with q_lo <= |i|^2 <= q_hi.
+
+    r2 sums the squared coordinates axis by axis, as _row_blocks does.
+    """
+    side = sq.size
+    n = side // 2
+    m = min(n, math.isqrt(q_hi))
+    pre = np.indices((2 * m + 1,) * (d - 1)).reshape(d - 1, (2 * m + 1) ** (d - 1)) - m
+    s = (pre * pre).sum(axis=0)
+    pre, s = pre[:, s <= q_hi], s[s <= q_hi]
+    pre_flat = np.zeros(s.size, dtype=np.int64)
+    pre_r2 = np.zeros(s.size)
+    for i in pre:
+        pre_flat = pre_flat * side + (i + n)
+        pre_r2 = pre_r2 + sq[i + n]
+    hi = np.minimum(_isqrt(q_hi - s), n)
+    below = np.maximum(q_lo - s, 0)
+    lo = np.where(below > 0, _isqrt(np.maximum(below - 1, 0)) + 1, 0)
+    # the last index runs over [lo, hi] and over [-hi, -max(lo, 1)]
+    starts = np.concatenate([lo, -hi])
+    counts = np.maximum(np.concatenate([hi - lo, hi - np.maximum(lo, 1)]) + 1, 0)
+    which = np.repeat(np.arange(counts.size) % s.size, counts)
+    last = (np.repeat(starts - np.cumsum(counts) + counts, counts)
+            + np.arange(which.size) + n)
+    return pre_flat[which] * side + last, pre_r2[which] + sq[last]
+
+
+def _isqrt(x):
+    """Elementwise floor(sqrt(x)) of a non-negative int64 array."""
+    r = np.sqrt(x).astype(np.int64)
+    r -= r * r > x
+    r += (r + 1) * (r + 1) <= x
+    return r
+
+
+def _mark_ball(covered, overlap, center, radius, h, n):
+    """Mark the grid points within the ball as covered and bump their overlap count."""
+    d = len(center)
+    lo = np.maximum(np.floor((center - radius) / h).astype(np.int64), -n)
+    hi = np.minimum(np.ceil((center + radius) / h).astype(np.int64), n)
+    box = tuple(slice(a + n, b + n + 1) for a, b in zip(lo, hi))
+    dist2 = sum(_axis_view((np.arange(lo[j], hi[j] + 1) * h - center[j]) ** 2, j, d)
+                for j in range(d))
+    inside = dist2 <= radius ** 2
+    covered[box] |= inside
+    overlap[box] += inside
 
 
 def scaled_set(S, t):

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from hermspec import acceptance
+from hermspec import acceptance, cli
 from hermspec.cli import main
 
 
@@ -97,3 +97,22 @@ def test_criterion_13_determinism(tmp_path):
     print(f"C13 {status} {float(passed):.17g} 1")
     assert passed
     assert b"FAIL" not in ma
+
+
+def test_report_runs_two_criteria_passes(tmp_path, monkeypatch):
+    # the report's own pass is the first of C13's two
+    calls = []
+    run_criteria = acceptance.run_criteria
+
+    def counted(seed, ids=None):
+        calls.append(seed)
+        return run_criteria(seed, ids)
+
+    monkeypatch.setattr(acceptance, "CRITERIA", {12: acceptance.criterion_12})
+    monkeypatch.setattr(acceptance, "run_criteria", counted)
+    monkeypatch.setattr(cli, "run_criteria", counted)
+    cfg = tmp_path / "report.cfg"
+    cfg.write_text(f"seed = 7\nout_dir = {tmp_path / 'r'}\n")
+    assert main(["report", "--config", str(cfg)]) == 0
+    assert calls == [7, 7]
+    assert (tmp_path / "r" / "manifest.txt").read_text().splitlines()[-1].startswith("C13 pass")

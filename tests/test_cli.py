@@ -266,6 +266,31 @@ def test_besicovitch_subcommand(tmp_path):
     assert len(rows) > 2
 
 
+def test_besicovitch_exit_2_on_unresolvable_radius(tmp_path, capsys):
+    cfg = write(tmp_path, "bes.cfg", (
+        "dimension = 1\n"
+        "degree_max = 2\n"
+        "gamma = 0.5\n"
+        "eps = 0.5\n"
+        "R = 1e-6\n"
+        f"out_dir = {tmp_path / 'out'}\n"
+    ))
+    assert main(["besicovitch", "--config", cfg]) == 2
+    assert "config error: grid of" in capsys.readouterr().err
+
+
+def test_control_exit_2_on_nonpositive_horizon(tmp_path, capsys):
+    cfg = write(tmp_path, "ctl.cfg", (
+        "dimension = 1\n"
+        "degree_max = 4\n"
+        "region = box 0.0 1.5\n"
+        "T = 0.0\n"
+        f"out_dir = {tmp_path / 'out'}\n"
+    ))
+    assert main(["control", "--config", cfg]) == 2
+    assert "config error: T must be positive" in capsys.readouterr().err
+
+
 def test_basis_check_subcommand(tmp_path):
     cfg = write(tmp_path, "bc.cfg", (
         "dimension = 2\n"

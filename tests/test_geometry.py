@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hermspec import (
     ResolutionError,
     SensorSet,
     besicovitch_covering,
+    concentration_radius,
     density_check,
     example_finite_measure_set,
     lattice_covering,
@@ -156,7 +158,7 @@ def test_besicovitch_invariants():
             assert r.kind == "ball"
             assert r.radius <= cap * (1 + 1e-12)
             # radii never exceed the local growth cap at the center
-            assert r.radius <= spec.radius_cap(np.asarray(r.center))[0] * (1 + 1e-12)
+            assert r.radius <= spec.radius_at(r.center) * (1 + 1e-12)
         cov.validate(N)
 
 
@@ -172,6 +174,85 @@ def test_besicovitch_resolution_guard():
     spec = BallDensitySpec(gamma=0.5, alpha=0.0, eps=1.0, R=1e-6, profile="constant")
     with pytest.raises(ResolutionError):
         besicovitch_covering(spec, 1, 1, K=16)
+
+
+def test_besicovitch_grid_ceiling_raises_before_allocating():
+    # the d = 3 grid would have 5969^3 ~ 2.1e11 points
+    spec = BallDensitySpec(gamma=0.5, alpha=0.0, eps=0.5, R=1.0, profile="power")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResolutionError, match=r"grid of \d+ points exceeds"):
+            besicovitch_covering(spec, 3, 1, K=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def _greedy_reference(spec, d, N, K=16):
+    """Balls and measured overlap of the plain greedy on the covering's grid.
+
+    One full meshgrid, a stable argsort of -rho over all of it, and each new
+    ball marks the grid points of its bounding box within distance rho.
+    """
+    A = concentration_radius(d, float(K) ** d) * math.sqrt(N)
+    h = spec.radius_at(np.zeros(d)) / 8.0
+    n = math.ceil(A / h)
+    axis = np.arange(-n, n + 1) * h
+    grids = np.meshgrid(*([axis] * d), indexing="ij")
+    r2 = sum(g * g for g in grids)
+    active = r2 <= A ** 2
+    if spec.profile == "constant":
+        radii = np.full(r2.shape, float(spec.R))
+    else:
+        radii = spec.R * (1.0 + r2) ** ((1.0 - spec.eps) / 2.0)
+    covered = ~active
+    overlap = np.zeros(r2.shape, dtype=int)
+    balls = []
+    for idx in np.argsort(-radii.ravel(), kind="stable"):
+        if covered.flat[idx]:
+            continue
+        c = (np.array(np.unravel_index(idx, r2.shape)) - n) * h
+        r = float(radii.flat[idx])
+        lo = np.maximum(np.floor((c - r) / h).astype(int), -n)
+        hi = np.minimum(np.ceil((c + r) / h).astype(int), n)
+        box = tuple(slice(a + n, b + n + 1) for a, b in zip(lo, hi))
+        sub = np.meshgrid(*[np.arange(a, b + 1) for a, b in zip(lo, hi)], indexing="ij")
+        inside = sum((g * h - cj) ** 2 for g, cj in zip(sub, c)) <= r ** 2
+        covered[box] |= inside
+        overlap[box] += inside
+        balls.append((tuple(float(x) for x in c), r))
+    return balls, int(overlap[active].max())
+
+
+@pytest.mark.parametrize("d, R, eps, profile", [
+    (1, 8.0, 0.5, "power"),
+    (2, 8.0, 0.5, "power"),
+    (2, 5.3, 0.5, "power"),  # h = 0.6625 is not a power of two
+    (2, 8.0, 1.0, "power"),
+    (2, 8.0, 0.5, "constant"),
+    (2, 8.0, 1.0 - 1e-12, "power"),  # neighbouring q round to one float radius
+    (2, 8.0, 1.0 - 1e-13, "power"),  # such ties straddle shells with uncovered points
+])
+def test_besicovitch_matches_plain_greedy(d, R, eps, profile):
+    spec = BallDensitySpec(gamma=0.5, alpha=0.0, eps=eps, R=R, profile=profile)
+    cov = besicovitch_covering(spec, d, 1, K=16)
+    balls, kappa_measured = _greedy_reference(spec, d, 1)
+    assert [(r.center, r.radius) for r in cov.elements] == balls
+    assert cov.meta["kappa_measured"] == kappa_measured
+
+
+def test_besicovitch_memory_stays_off_the_full_grid():
+    # criterion 11's d = 2 case: 3437^2 grid points, 1345 balls
+    spec = BallDensitySpec(gamma=0.5, alpha=0.0, eps=0.5, R=1.0, profile="power")
+    tracemalloc.start()
+    try:
+        cov = besicovitch_covering(spec, 2, 1, K=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cov.elements) == 1345
+    assert peak < 64 * 2 ** 20
 
 
 def test_ball_density_spec_profiles():
