@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisIndexSet, HermiteVector, basis_vector, derivative_operator
+from .basis import BasisIndexSet, HermiteVector, derivative_operator
 from .bounds import BoundParams, thm_general_bound, delta_choice, bernstein_CB_log
 from .control import (
     ControlProblem,
@@ -32,8 +32,8 @@ from .geometry import (
     lattice_covering,
 )
 from .gram import (
-    DEFAULT_RULE,
     GramMatrix,
+    QuadratureRule,
     gram_over_set,
     gram_fullspace_weighted,
     norm2_over_set,
@@ -62,8 +62,10 @@ class CriterionResult:
     details: str = ""
 
     def manifest_line(self):
+        """`label status value tolerance`: label Cnn, or the name of a cid-0 (CLI) check."""
+        label = f"C{self.cid:02d}" if self.cid else self.name
         status = "pass" if self.passed else "FAIL"
-        return f"C{self.cid:02d} {status} {format(self.value, '.17g')} {format(self.tolerance, '.17g')}"
+        return f"{label} {status} {format(self.value, '.17g')} {format(self.tolerance, '.17g')}"
 
     def csv_row(self):
         status = "pass" if self.passed else "FAIL"
@@ -118,7 +120,7 @@ def _lattice_suite(seed):
     d, N, m_max = 1, 10, 5
     cov = lattice_covering(1.0, d, N, kappa=1)
     basis = BasisIndexSet(d, N)
-    ctx = CellContext(cov, d, N + m_max, DEFAULT_RULE, nodes=48)
+    ctx = CellContext(cov, d, N + m_max, QuadratureRule(nodes=48))
     rng = SplitMix64(seed + 3)
     out = []
     for _ in range(100):

@@ -73,12 +73,6 @@ class BasisIndexSet:
         return 2.0 * self.degrees() + self.dimension
 
 
-def semigroup_eigenvalue(alpha):
-    """Eigenvalue 2|alpha| + d of -Delta + |x|^2 on Phi_alpha (d = len(alpha))."""
-    alpha = tuple(alpha)
-    return 2 * sum(alpha) + len(alpha)
-
-
 def eval_phi_table(kmax, t):
     """Values of phi_0..phi_kmax at the points t; shape t.shape + (kmax+1,)."""
     t = np.asarray(t)

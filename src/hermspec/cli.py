@@ -5,7 +5,7 @@ Usage: hermspec <subcommand> --config <path> [--set key=value]...
 Config files are flat `key = value` lines with `#` comments; `region` may
 repeat to describe an inline sensor set.  Every subcommand writes
 `<out_dir>/<subcommand>.csv` plus `<out_dir>/manifest.txt` with one
-`criterion_id status value tolerance` line per asserted check.  Exit code 0
+`check status value tolerance` line per asserted check.  Exit code 0
 iff every asserted check passes, 1 on a numerical verification failure, 2 on
 a config error (a parse error, or a parameter the computation rejects).
 """
@@ -56,46 +56,34 @@ from .spectral import (
     CellContext,
     classify_cells,
     counterexample_growth,
-    spectral_constant,
+    derivative_columns,
     spectral_report,
 )
 
+
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def _count(text):
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be at least 1")
+    return value
+
+
+# `region` repeats; every other key takes its last value
 _SCHEMA = {
-    "dimension": int,
-    "degree_max": int,
-    "seed": int,
-    "samples": int,
-    "nodes": int,
-    "m_max": int,
-    "K": int,
-    "N_min": int,
-    "N_max": int,
-    "quad_tol": float,
-    "delta": float,
-    "T": float,
-    "C1": float,
-    "C2": float,
-    "C3": float,
-    "gamma": float,
-    "beta": float,
-    "alpha": float,
-    "rho": float,
-    "R": float,
-    "eps": float,
-    "kappa": float,
-    "eta": float,
-    "D": float,
-    "zeta": float,
-    "d0": float,
-    "d1": float,
-    "M": float,
-    "weight": float,
-    "window_radius": float,
-    "set": str,
-    "covering": str,
-    "profile": str,
-    "out_dir": str,
-    "region": str,  # repeatable
+    **dict.fromkeys(("dimension", "degree_max", "seed", "nodes", "K", "N_min", "N_max"), int),
+    **dict.fromkeys(("samples", "m_max"), _count),
+    **dict.fromkeys((
+        "quad_tol", "delta", "T", "C1", "C2", "C3", "gamma", "beta", "alpha", "rho", "R",
+        "eps", "kappa", "eta", "D", "zeta", "d0", "d1", "M", "weight", "window_radius",
+    ), _finite),
+    **dict.fromkeys(("set", "covering", "profile", "out_dir", "region"), str),
 }
 
 _DEFAULTS = {
@@ -113,86 +101,88 @@ _DEFAULTS = {
 }
 
 
-def parse_config(text):
-    """Flat key = value parser; raises ConfigError with line/column."""
+def _assign(cfg, item, where, line=None):
+    """Store one `key = value` item in cfg, converted by _SCHEMA.
+
+    where ("line 7" or "--set 'T=0.5'") starts each error message and is kept
+    with each region entry; line is the config line number (None for --set).
+    """
+    if "=" not in item:
+        raise ConfigError(f"{where}: expected 'key = value'", line)
+    key, value = (s.strip() for s in item.split("=", 1))
+    if key not in _SCHEMA:
+        raise ConfigError(f"{where}: unknown key '{key}'", line)
+    if key == "region":
+        cfg["region"].append((where, value))
+        return
+    try:
+        cfg[key] = _SCHEMA[key](value)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for '{key}': {value!r} ({exc})", line) from None
+
+
+def parse_config(text, overrides=()):
+    """Parse flat `key = value` config text, then apply `key=value` overrides.
+
+    Text after `#` is a comment.  Config lines and overrides go through one
+    conversion: integers, finite floats (no nan or inf), `samples` and `m_max`
+    at least 1, strings.  A later value of a key replaces an earlier one,
+    except `region`, which accumulates as (where, text) entries.  Raises
+    ConfigError naming the key, the value and the config line or override.
+    """
     cfg = {"region": []}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'", lineno, 1)
-        key, value = line.split("=", 1)
-        col = len(line) - len(line.lstrip()) + 1
-        key = key.strip()
-        value = value.strip()
-        if key not in _SCHEMA:
-            raise ConfigError(f"line {lineno}: unknown key '{key}'", lineno, col)
-        if key == "region":
-            cfg["region"].append(value)
-            continue
-        try:
-            cfg[key] = _SCHEMA[key](value)
-        except ValueError:
-            vcol = line.index("=") + 2
-            raise ConfigError(
-                f"line {lineno}: bad value for '{key}': {value!r}", lineno, vcol
-            ) from None
-    return cfg
-
-
-def apply_overrides(cfg, overrides):
+        if line.strip():
+            _assign(cfg, line, f"line {lineno}", lineno)
     for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override '{item}': expected key=value")
-        key, value = item.split("=", 1)
-        key = key.strip()
-        if key not in _SCHEMA:
-            raise ConfigError(f"override: unknown key '{key}'")
-        if key == "region":
-            cfg["region"].append(value.strip())
-        else:
-            cfg[key] = _SCHEMA[key](value.strip())
+        _assign(cfg, item, f"--set {item!r}")
     return cfg
 
 
-def _get(cfg, key, required_by=None):
+class _MissingKey(ConfigError):
+    """A required key is absent; main names the subcommand that needs it."""
+
+
+def _get(cfg, key):
     if key in cfg:
         return cfg[key]
     if key in _DEFAULTS:
         return _DEFAULTS[key]
-    raise ConfigError(f"missing required key '{key}' for subcommand '{required_by}'")
+    raise _MissingKey(key)
 
 
 def _quad_rule(cfg):
-    if "quad_tol" in cfg or "nodes" in cfg:
-        try:
-            return QuadratureRule(
-                tol=cfg.get("quad_tol", 1e-11), nodes=cfg.get("nodes", 64)
-            )
-        except InputError as exc:
-            raise ConfigError(f"quadrature rule: {exc}") from None
-    return QuadratureRule()
+    """The QuadratureRule of the keys cfg sets; QuadratureRule's defaults fill in the rest."""
+    fields = {"nodes": "nodes", "quad_tol": "tol"}
+    try:
+        return QuadratureRule(**{f: cfg[k] for k, f in fields.items() if k in cfg})
+    except InputError as exc:
+        raise ConfigError(f"quadrature rule: {exc}") from None
 
 
-def _sensor_set(cfg, sub):
-    kind = _get(cfg, "set", sub)
-    d = _get(cfg, "dimension", sub)
-    N = _get(cfg, "degree_max", sub)
+def _ball_spec(cfg):
+    return BallDensitySpec(
+        gamma=_get(cfg, "gamma"), alpha=cfg.get("alpha", 0.0),
+        eps=cfg.get("eps", 0.5), R=cfg.get("R", 1.0),
+        profile=cfg.get("profile", "power"),
+    )
+
+
+def _sensor_set(cfg):
+    kind = _get(cfg, "set")
+    d = _get(cfg, "dimension")
+    N = _get(cfg, "degree_max")
     if kind == "inline":
-        regions = cfg.get("region", [])
-        if not regions:
-            raise ConfigError(f"subcommand '{sub}': set=inline needs region lines")
+        if not cfg["region"]:
+            raise ConfigError("set=inline needs region lines")
         parsed = []
-        for i, line in enumerate(regions):
+        for where, line in cfg["region"]:
             try:
                 parsed.append(Region.from_line(line, d))
             except InputError as exc:
-                raise ConfigError(f"region {i} {line!r}: {exc}") from None
-        try:
-            return SensorSet(tuple(parsed))
-        except InputError as exc:
-            raise ConfigError(f"inline set: {exc}") from None
+                raise ConfigError(f"{where}: region {line!r}: {exc}") from None
+        return SensorSet(tuple(parsed))
     if kind == "fullspace_window":
         return fullspace_window(d, N, cfg.get("window_radius"))
     if kind == "halfline_window":
@@ -201,7 +191,7 @@ def _sensor_set(cfg, sub):
         return halfline_window(N)
     if kind == "finite_measure":
         spec = CubeDensitySpec(
-            gamma=_get(cfg, "gamma", sub), beta=_get(cfg, "beta", sub),
+            gamma=_get(cfg, "gamma"), beta=_get(cfg, "beta"),
             rho=cfg.get("rho", 1.0), d=d,
         )
         S, _ = example_finite_measure_set(spec, cfg.get("window_radius", 16.0))
@@ -219,7 +209,7 @@ def _write(outdir, name, text):
 
 def _emit(cfg, sub, header, rows, checks):
     """Write <sub>.csv and manifest.txt; return the failing checks."""
-    outdir = _get(cfg, "out_dir", sub)
+    outdir = _get(cfg, "out_dir")
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(
@@ -235,13 +225,13 @@ def _check(name, passed, value, tolerance):
 
 
 def cmd_basis_check(cfg):
-    d = _get(cfg, "dimension", "basis-check")
-    N = _get(cfg, "degree_max", "basis-check")
+    d = _get(cfg, "dimension")
+    N = _get(cfg, "degree_max")
     basis = BasisIndexSet(d, N)
     size_ok = basis.size == math.comb(N + d, d)
     G = gram_over_set(basis, fullspace_window(d, N))
     dev = float(np.max(np.abs(G.entries - np.eye(basis.size))))
-    rng = SplitMix64(_get(cfg, "seed", "basis-check"))
+    rng = SplitMix64(_get(cfg, "seed"))
     f = HermiteVector(basis, rng.unit_coeffs(basis.size))
     df = derivative_operator(f, 0)
     # ladder consistency: d/dx phi_k norms from coefficients match |f|-scale
@@ -259,14 +249,14 @@ def cmd_basis_check(cfg):
 
 
 def cmd_decay(cfg):
-    d = _get(cfg, "dimension", "decay")
-    N = _get(cfg, "degree_max", "decay")
+    d = _get(cfg, "dimension")
+    N = _get(cfg, "degree_max")
     w = cfg.get("weight", 1.0 / (64.0 * d))
-    samples = _get(cfg, "samples", "decay")
+    samples = _get(cfg, "samples")
     basis = BasisIndexSet(d, N)
     Gw = gram_fullspace_weighted(basis, w)
     bound = 2.0 ** (2 * (d + 1) + N)
-    rng = SplitMix64(_get(cfg, "seed", "decay"))
+    rng = SplitMix64(_get(cfg, "seed"))
     rows = []
     worst = 0.0
     # sample 0 is the pure ground state (analytic reference case)
@@ -284,15 +274,13 @@ def cmd_decay(cfg):
 
 
 def cmd_bernstein(cfg):
-    from .spectral import derivative_columns
-
-    d = _get(cfg, "dimension", "bernstein")
-    N = _get(cfg, "degree_max", "bernstein")
-    m_max = _get(cfg, "m_max", "bernstein")
-    samples = _get(cfg, "samples", "bernstein")
+    d = _get(cfg, "dimension")
+    N = _get(cfg, "degree_max")
+    m_max = _get(cfg, "m_max")
+    samples = _get(cfg, "samples")
     delta = cfg.get("delta", delta_choice(cfg.get("D", 1.0), N, cfg.get("eps", 1.0)))
     basis = BasisIndexSet(d, N)
-    rng = SplitMix64(_get(cfg, "seed", "bernstein"))
+    rng = SplitMix64(_get(cfg, "seed"))
     rows = []
     worst = float("-inf")
     for i in range(samples):
@@ -310,24 +298,22 @@ def cmd_bernstein(cfg):
 
 
 def cmd_gram(cfg):
-    d = _get(cfg, "dimension", "gram")
-    N = _get(cfg, "degree_max", "gram")
+    d = _get(cfg, "dimension")
+    N = _get(cfg, "degree_max")
     basis = BasisIndexSet(d, N)
-    S = _sensor_set(cfg, "gram")
+    S = _sensor_set(cfg)
     G = gram_over_set(basis, S, _quad_rule(cfg))
-    outdir = _get(cfg, "out_dir", "gram")
-    _write(outdir, "gram.csv", G.to_csv())
     defect = G.symmetry_defect()
     checks = [_check("gram-symmetry", defect <= 1e-12, defect, 1e-12)]
-    _write(outdir, "manifest.txt", "".join(c.manifest_line() + "\n" for c in checks))
-    return [c for c in checks if not c.passed]
+    header = [str(i) for i in range(basis.size)]
+    return _emit(cfg, "gram", header, G.entries, checks)
 
 
 def cmd_spectral(cfg):
-    d = _get(cfg, "dimension", "spectral")
-    N = _get(cfg, "degree_max", "spectral")
+    d = _get(cfg, "dimension")
+    N = _get(cfg, "degree_max")
     basis = BasisIndexSet(d, N)
-    S = _sensor_set(cfg, "spectral")
+    S = _sensor_set(cfg)
     report = spectral_report(basis, S, _quad_rule(cfg))
     rows = [(report.N, report.d, report.set_hash, report.lam_min)]
     checks = [_check("spectral-positive", report.lam_min > 0, report.lam_min, 0.0)]
@@ -335,22 +321,21 @@ def cmd_spectral(cfg):
 
 
 def cmd_classify(cfg):
-    d = _get(cfg, "dimension", "classify")
-    N = _get(cfg, "degree_max", "classify")
-    m_max = _get(cfg, "m_max", "classify")
-    samples = _get(cfg, "samples", "classify")
+    d = _get(cfg, "dimension")
+    N = _get(cfg, "degree_max")
+    m_max = _get(cfg, "m_max")
+    samples = _get(cfg, "samples")
     basis = BasisIndexSet(d, N)
-    if _get(cfg, "covering", "classify") == "besicovitch":
-        spec = BallDensitySpec(
-            gamma=_get(cfg, "gamma", "classify"), alpha=cfg.get("alpha", 0.0),
-            eps=cfg.get("eps", 0.5), R=cfg.get("R", 1.0),
-            profile=cfg.get("profile", "power"),
-        )
-        cov = besicovitch_covering(spec, d, N, K=_get(cfg, "K", "classify"))
-    else:
+    covering = _get(cfg, "covering")
+    if covering == "besicovitch":
+        cov = besicovitch_covering(_ball_spec(cfg), d, N, K=_get(cfg, "K"))
+    elif covering == "lattice":
         cov = lattice_covering(cfg.get("rho", 1.0), d, N, kappa=int(cfg.get("kappa", 1)))
-    ctx = CellContext(cov, d, N + m_max, _quad_rule(cfg), nodes=48)
-    rng = SplitMix64(_get(cfg, "seed", "classify"))
+    else:
+        raise ConfigError(f"unknown covering '{covering}'")
+    # cells take 48 nodes unless the config sets `nodes`
+    ctx = CellContext(cov, d, N + m_max, _quad_rule({"nodes": 48, **cfg}))
+    rng = SplitMix64(_get(cfg, "seed"))
     rows = []
     worst_bad = 0.0
     worst_far = 0.0
@@ -371,14 +356,10 @@ def cmd_classify(cfg):
 
 
 def cmd_besicovitch(cfg):
-    d = _get(cfg, "dimension", "besicovitch")
-    N = _get(cfg, "degree_max", "besicovitch")
-    K = _get(cfg, "K", "besicovitch")
-    spec = BallDensitySpec(
-        gamma=_get(cfg, "gamma", "besicovitch"), alpha=cfg.get("alpha", 0.0),
-        eps=cfg.get("eps", 0.5), R=cfg.get("R", 1.0),
-        profile=cfg.get("profile", "power"),
-    )
+    d = _get(cfg, "dimension")
+    N = _get(cfg, "degree_max")
+    K = _get(cfg, "K")
+    spec = _ball_spec(cfg)
     cov = besicovitch_covering(spec, d, N, K=K)
     rows = [
         (k, *r.center, r.radius, int(k in cov.central))
@@ -396,15 +377,15 @@ def cmd_besicovitch(cfg):
 
 
 def cmd_bounds(cfg):
-    d = _get(cfg, "dimension", "bounds")
-    N = _get(cfg, "degree_max", "bounds")
+    d = _get(cfg, "dimension")
+    N = _get(cfg, "degree_max")
     rows = []
     params = BoundParams(
-        d=d, N=N, gamma=_get(cfg, "gamma", "bounds"),
+        d=d, N=N, gamma=_get(cfg, "gamma"),
         beta=cfg.get("beta"), alpha=cfg.get("alpha"),
         rho=cfg.get("rho"), R=cfg.get("R"),
         eps=cfg.get("eps", 1.0), kappa=cfg.get("kappa", 1.0),
-        eta=cfg.get("eta", 1.0), D=cfg.get("D", 1.0), K=_get(cfg, "K", "bounds"),
+        eta=cfg.get("eta", 1.0), D=cfg.get("D", 1.0), K=_get(cfg, "K"),
     )
     rows.append(("general", thm_general_bound(params).log_value))
     if params.beta is not None and params.rho is not None:
@@ -413,9 +394,9 @@ def cmd_bounds(cfg):
         rows.append(("balls", thm_balls_bound(params).log_value))
     if "zeta" in cfg:
         rows.append(("cobs", cobs_bound_log(
-            _get(cfg, "d0", "bounds"), _get(cfg, "d1", "bounds"), cfg["zeta"],
-            _get(cfg, "T", "bounds"), _get(cfg, "C1", "bounds"),
-            _get(cfg, "C2", "bounds"), _get(cfg, "C3", "bounds"),
+            _get(cfg, "d0"), _get(cfg, "d1"), cfg["zeta"],
+            _get(cfg, "T"), _get(cfg, "C1"),
+            _get(cfg, "C2"), _get(cfg, "C3"),
         )))
     finite = all(math.isfinite(v) for _, v in rows)
     checks = [_check("bounds-finite", finite, float(finite), 1.0)]
@@ -423,9 +404,12 @@ def cmd_bounds(cfg):
 
 
 def cmd_counterexample(cfg):
-    M = _get(cfg, "M", "counterexample")
+    M = _get(cfg, "M")
     n0 = cfg.get("N_min", 10)
     n1 = cfg.get("N_max", 40)
+    if n1 < n0 + 2:
+        # the check takes second differences of the log ratios
+        raise ConfigError(f"counterexample needs N_max >= N_min + 2, got {n0}..{n1}")
     rows_data, fitted_c = counterexample_growth(M, list(range(n0, n1 + 1)))
     rows = [(r.N, r.log_norm_full, r.log_norm_restricted, r.log_ratio)
             for r in rows_data]
@@ -447,15 +431,15 @@ def cmd_counterexample(cfg):
 
 
 def cmd_control(cfg):
-    d = _get(cfg, "dimension", "control")
-    N = _get(cfg, "degree_max", "control")
-    T = _get(cfg, "T", "control")
-    samples = _get(cfg, "samples", "control")
+    d = _get(cfg, "dimension")
+    N = _get(cfg, "degree_max")
+    T = _get(cfg, "T")
+    samples = _get(cfg, "samples")
     basis = BasisIndexSet(d, N)
-    S = _sensor_set(cfg, "control")
+    S = _sensor_set(cfg)
     problem = ControlProblem(basis, gram_over_set(basis, S, _quad_rule(cfg)), T)
     cobs = problem.observability_constant()
-    rng = SplitMix64(_get(cfg, "seed", "control"))
+    rng = SplitMix64(_get(cfg, "seed"))
     rows = []
     worst_resid = 0.0
     for i in range(samples):
@@ -464,7 +448,7 @@ def cmd_control(cfg):
         worst_resid = max(worst_resid, res.terminal_residual, res.simulated_residual)
         rows.append((i, res.cost, res.terminal_residual, res.simulated_residual, cobs))
         if i == 0:
-            _write(_get(cfg, "out_dir", "control"), "trajectory.csv",
+            _write(_get(cfg, "out_dir"), "trajectory.csv",
                    res.trajectory_csv())
     res_w = hum_control(problem, problem.worst_case_initial_state())
     rel = abs(res_w.cost - cobs) / cobs
@@ -478,10 +462,10 @@ def cmd_control(cfg):
 
 
 def cmd_report(cfg):
-    seed = _get(cfg, "seed", "report")
+    seed = _get(cfg, "seed")
     results = run_criteria(seed)
     results.append(criterion_13(seed, results))
-    outdir = _get(cfg, "out_dir", "report")
+    outdir = _get(cfg, "out_dir")
     _write(outdir, "report.csv", results_csv(results))
     _write(outdir, "manifest.txt",
            "".join(r.manifest_line() + "\n" for r in results))
@@ -512,16 +496,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         with open(args.config) as fh:
-            cfg = parse_config(fh.read())
-        apply_overrides(cfg, args.overrides)
+            cfg = parse_config(fh.read(), args.overrides)
         failures = _COMMANDS[args.subcommand](cfg)
-    except ConfigError as exc:
-        loc = ""
-        if exc.line is not None:
-            loc = f" (line {exc.line}, column {exc.column})"
-        print(f"config error{loc}: {exc}", file=sys.stderr)
+    except _MissingKey as exc:
+        print(f"config error: missing required key '{exc}' for subcommand "
+              f"'{args.subcommand}'", file=sys.stderr)
         return 2
-    except (OSError, InputError, ResolutionError) as exc:
+    except (ConfigError, OSError, InputError, ResolutionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

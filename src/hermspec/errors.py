@@ -35,9 +35,8 @@ class VerificationError(AssertionError):
 
 
 class ConfigError(ValueError):
-    """Config file problem; carries line/column when known."""
+    """Config file or --set problem; carries the config line number when known."""
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
-        self.column = column

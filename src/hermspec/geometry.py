@@ -566,7 +566,6 @@ def besicovitch_covering(spec, d, N, K=16):
             "kappa_measured": kappa_measured,
             "N": N,
             "K": K,
-            "has_remainder": True,
         },
     )
     cov.validate(N)

@@ -103,12 +103,11 @@ def _joined(slices):
     return np.concatenate([p for p, _ in slices]), np.concatenate([w for _, w in slices])
 
 
-def region_quadrature(region, rule=DEFAULT_RULE, nodes=None):
+def region_quadrature(region, rule=DEFAULT_RULE):
     """Full point/weight set for integrating a generic integrand over a region."""
-    n = nodes if nodes is not None else rule.nodes
     if region.kind == "ball":
-        return _joined(_ball_points(region.center, region.radius, n, rule.panel_max))
-    axes = [axis_quadrature(c - h, c + h, n, rule.panel_max)
+        return _joined(_ball_points(region.center, region.radius, rule.nodes, rule.panel_max))
+    axes = [axis_quadrature(c - h, c + h, rule.nodes, rule.panel_max)
             for c, h in zip(region.center, region.half_sides)]
     grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
     p = np.stack([g.ravel() for g in grids], axis=1)
@@ -241,11 +240,11 @@ def gram_fullspace_weighted(basis, w):
     return GramMatrix(basis, G)
 
 
-def norm2_over_set(f, S, rule=DEFAULT_RULE, nodes=None):
+def norm2_over_set(f, S, rule=DEFAULT_RULE):
     """Squared L^2(S) norm of a HermiteVector by direct quadrature."""
     total = 0.0
     for region in S.regions:
-        pts, wts = region_quadrature(region, rule, nodes=nodes)
+        pts, wts = region_quadrature(region, rule)
         vals = f.evaluate(pts)
         total += float(wts @ (vals * vals))
     return total

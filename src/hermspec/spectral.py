@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisIndexSet, HermiteVector, derivative_operator, _compositions
+from .basis import BasisIndexSet, derivative_operator, _compositions
 from .bounds import bernstein_CB_log, delta_choice
 from .errors import InputError, VerificationError
 from .gram import DEFAULT_RULE, _basis_table, gram_over_set, region_quadrature
@@ -81,41 +81,25 @@ class SpectralReport:
     set_hash: str
     lam_min: float
     minimizer: np.ndarray
-    bound_log: float = None
-    log_margin: float = None
-
-    def row(self):
-        return {
-            "N": self.N,
-            "d": self.d,
-            "set_hash": self.set_hash,
-            "lam_min": self.lam_min,
-            "bound_log": self.bound_log if self.bound_log is not None else float("nan"),
-            "log_margin": self.log_margin if self.log_margin is not None else float("nan"),
-        }
 
 
-def spectral_report(basis, S, rule=DEFAULT_RULE, bound=None):
-    """Sharp constant for the set S on E_N, with an optional theoretical floor."""
+def spectral_report(basis, S, rule=DEFAULT_RULE):
+    """Sharp constant for the set S on E_N."""
     G = gram_over_set(basis, S, rule)
     lam, v = spectral_constant(G)
     set_hash = hashlib.sha256(S.to_text().encode()).hexdigest()[:16]
-    report = SpectralReport(basis.max_degree, basis.dimension, set_hash, lam, v)
-    if bound is not None:
-        report.bound_log = bound.log_value
-        report.log_margin = (math.log(lam) - bound.log_value) if lam > 0 else float("-inf")
-    return report
+    return SpectralReport(basis.max_degree, basis.dimension, set_hash, lam, v)
 
 
 class CellContext:
     """Cached per-cell quadrature and basis tables for repeated classification."""
 
-    def __init__(self, covering, d, eval_degree, rule=DEFAULT_RULE, nodes=None):
+    def __init__(self, covering, d, eval_degree, rule=DEFAULT_RULE):
         self.covering = covering
         self.eval_basis = BasisIndexSet(d, eval_degree)
         self.cells = []
         for region in covering.elements:
-            pts, wts = region_quadrature(region, rule, nodes=nodes)
+            pts, wts = region_quadrature(region, rule)
             tables = _basis_table(self.eval_basis, pts)
             self.cells.append((wts, tables))
 
@@ -176,7 +160,7 @@ class CellClassification:
         return int(flips.max()) if flips.size else 0
 
 
-def classify_cells(f, covering, m_max=6, delta=None, rule=DEFAULT_RULE, ctx=None, nodes=None):
+def classify_cells(f, covering, m_max=6, delta=None, rule=DEFAULT_RULE, ctx=None):
     """Good/bad classification of covering cells for f, with mass fractions.
 
     A cell is good (up to m_max) when the localized Bernstein inequality
@@ -189,7 +173,7 @@ def classify_cells(f, covering, m_max=6, delta=None, rule=DEFAULT_RULE, ctx=None
     if delta is None:
         delta = delta_choice(covering.D, max(N, 1), covering.eps)
     if ctx is None:
-        ctx = CellContext(covering, d, N + m_max, rule, nodes=nodes)
+        ctx = CellContext(covering, d, N + m_max, rule)
     columns, group = derivative_columns(f, m_max)
     norms = ctx.cell_norms2(columns)  # (ncells, ncols)
     ncells = norms.shape[0]
@@ -341,5 +325,7 @@ def counterexample_growth(M, N_list, nodes=500):
         log_restricted = math.log(2.0) + gmax + math.log(float(w @ np.exp(g - gmax)))
         log_full = math.lgamma(N + 0.5)
         rows.append(GrowthRow(N, log_full, log_restricted, log_full - log_restricted))
-    fitted_c = max((r.N * math.log(r.N) - r.log_ratio) / r.N for r in rows if r.N >= 2)
-    return rows, fitted_c
+    fits = [(r.N * math.log(r.N) - r.log_ratio) / r.N for r in rows if r.N >= 2]
+    if not fits:
+        raise InputError("N_list needs a degree N >= 2 to fit c")
+    return rows, max(fits)

@@ -2,8 +2,10 @@ import os
 
 import pytest
 
+from hermspec import cli
 from hermspec.cli import main, parse_config
 from hermspec.errors import ConfigError
+from hermspec.spectral import CellContext
 
 
 def write(tmp_path, name, text):
@@ -24,7 +26,7 @@ def test_parse_config_basics():
     assert cfg["dimension"] == 1
     assert cfg["degree_max"] == 3
     assert cfg["T"] == 0.5
-    assert cfg["region"] == ["box 0.0 1.0", "ball 5.0 0.5"]
+    assert cfg["region"] == [("line 5", "box 0.0 1.0"), ("line 6", "ball 5.0 0.5")]
 
 
 def test_parse_config_unknown_key():
@@ -300,3 +302,86 @@ def test_basis_check_subcommand(tmp_path):
     assert main(["basis-check", "--config", cfg]) == 0
     manifest = (tmp_path / "out" / "manifest.txt").read_text()
     assert "FAIL" not in manifest
+
+
+_BOX = "dimension = 1\ndegree_max = 2\nregion = box 0.0 1.0\n"
+
+
+@pytest.mark.parametrize("sub, config, overrides, key, where", [
+    ("spectral", _BOX, ["nodes=abc"], "nodes", "--set 'nodes=abc'"),
+    ("besicovitch", "dimension = 1\ndegree_max = 2\ngamma = 0.5\nR = inf\n", [], "R", "line 4"),
+    ("bernstein", "dimension = 1\ndegree_max = 3\ndelta = nan\n", [], "delta", "line 3"),
+    ("bernstein", "dimension = 1\ndegree_max = 3\nm_max = 0\n", [], "m_max", "line 3"),
+    ("decay", "dimension = 1\ndegree_max = 3\nsamples = 0\n", [], "samples", "line 3"),
+    # covering is checked where classify consumes it, so no line is named
+    ("classify", "dimension = 1\ndegree_max = 2\ncovering = besicovich\n", [], "covering", ""),
+    ("control", _BOX + "T = nan\n", [], "T", "line 4"),
+    ("spectral", _BOX + "quad_tol = nan\n", [], "quad_tol", "line 4"),
+    ("counterexample", "M = 2\nN_min = 1\nN_max = 1\n", [], "N_max", ""),
+    ("counterexample", "M = 2\nN_min = 20\nN_max = 10\n", [], "N_max", ""),
+], ids=["set-nodes-abc", "R-inf", "delta-nan", "m_max-0", "samples-0", "covering-typo",
+        "T-nan", "quad_tol-nan", "N-range-1..1", "N-range-20..10"])
+def test_cli_exit_2_on_bad_input(tmp_path, capsys, sub, config, overrides, key, where):
+    cfg = write(tmp_path, "p.cfg", config + f"out_dir = {tmp_path / 'out'}\n")
+    argv = [sub, "--config", cfg]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err and where in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_set_and_config_line_give_the_same_cfg():
+    items = ["dimension=2", "T=0.5", "samples=3", "set=inline", "region=box 0.0 0.0 1.0 1.0"]
+    from_file = parse_config("".join(i.replace("=", " = ", 1) + "\n" for i in items))
+    from_set = parse_config("", items)
+    assert [v for _, v in from_file.pop("region")] == [v for _, v in from_set.pop("region")]
+    assert from_file == from_set
+    assert [type(from_set[k]) for k in ("dimension", "T", "samples")] == [int, float, int]
+    for bad in ("samples=0", "T=inf", "nodes=1.5"):
+        with pytest.raises(ConfigError, match=bad.split("=")[0]):
+            parse_config(bad.replace("=", " = ") + "\n")
+        with pytest.raises(ConfigError, match=bad.split("=")[0]):
+            parse_config("", [bad])
+
+
+def test_set_nodes_reaches_classify_cells(tmp_path, monkeypatch):
+    seen = []
+
+    class RecordingContext(CellContext):
+        def __init__(self, covering, d, eval_degree, rule):
+            seen.append(rule.nodes)
+            super().__init__(covering, d, eval_degree, rule)
+
+    monkeypatch.setattr(cli, "CellContext", RecordingContext)
+    cfg = write(tmp_path, "cl.cfg", (
+        "dimension = 1\n"
+        "degree_max = 4\n"
+        "m_max = 2\n"
+        "samples = 2\n"
+        f"out_dir = {tmp_path / 'out'}\n"
+    ))
+    assert main(["classify", "--config", cfg]) == 0
+    assert main(["classify", "--config", cfg, "--set", "nodes=8"]) == 0
+    assert seen == [48, 8]
+
+
+def test_cli_manifest_names_each_check(tmp_path):
+    cfg = write(tmp_path, "s.cfg", (
+        "dimension = 1\n"
+        "degree_max = 1\n"
+        "set = halfline_window\n"
+        f"out_dir = {tmp_path / 'out'}\n"
+    ))
+    assert main(["spectral", "--config", cfg]) == 0
+    manifest = (tmp_path / "out" / "manifest.txt").read_text().split()
+    assert manifest[:2] == ["spectral-positive", "pass"] and manifest[3] == "0"
+
+
+def test_cli_names_the_subcommand_of_a_missing_key(tmp_path, capsys):
+    cfg = write(tmp_path, "m.cfg", "dimension = 1\n")
+    assert main(["spectral", "--config", cfg]) == 2
+    assert "missing required key 'degree_max' for subcommand 'spectral'" in (
+        capsys.readouterr().err)

@@ -124,9 +124,9 @@ def test_ball_gram_offcenter_2d_against_polar_oracle():
 
 
 def test_ball_quadrature_1d_is_interval_quadrature():
-    for nodes in (None, 7, 48):
-        pb, wb = region_quadrature(Region.ball((1.2,), 0.7), nodes=nodes)
-        pi, wi = region_quadrature(Region.box((1.2,), (0.7,)), nodes=nodes)
+    for rule in (QuadratureRule(), QuadratureRule(nodes=7), QuadratureRule(nodes=48)):
+        pb, wb = region_quadrature(Region.ball((1.2,), 0.7), rule)
+        pi, wi = region_quadrature(Region.box((1.2,), (0.7,)), rule)
         assert pb.shape == pi.shape and pb.tobytes() == pi.tobytes()
         assert wb.tobytes() == wi.tobytes()
 

@@ -201,3 +201,9 @@ def test_counterexample_against_gammainc():
 def test_counterexample_rejects_bad_window():
     with pytest.raises(InputError):
         counterexample_growth(0.0, [10])
+
+
+@pytest.mark.parametrize("N_list", [[], [1], [0, 1]])
+def test_counterexample_needs_a_degree_of_at_least_two(N_list):
+    with pytest.raises(InputError, match="N >= 2"):
+        counterexample_growth(2.0, N_list)
