@@ -219,8 +219,9 @@ def criterion_07():
     worst = float("inf")
     ok = True
     for N in range(1, 9):
-        sub = G.entries[: N + 1, : N + 1]
-        lam, _ = spectral_constant(GramMatrix(BasisIndexSet(1, N), sub))
+        k = N + 1  # R is upper triangular: its leading block factors G's leading block
+        lam, _ = spectral_constant(
+            GramMatrix(BasisIndexSet(1, N), G.entries[:k, :k], G.factor[:k, :k]))
         bound = thm_general_bound(BoundParams(
             d=1, N=N, gamma=gamma_eff, eta=1.0, D=1.0, kappa=1.0, eps=1.0, alpha=0.5,
         ))

@@ -330,7 +330,10 @@ def cmd_classify(cfg):
     if covering == "besicovitch":
         cov = besicovitch_covering(_ball_spec(cfg), d, N, K=_get(cfg, "K"))
     elif covering == "lattice":
-        cov = lattice_covering(cfg.get("rho", 1.0), d, N, kappa=int(cfg.get("kappa", 1)))
+        kappa = cfg.get("kappa", 1.0)
+        if kappa != int(kappa):
+            raise ConfigError(f"bad value for 'kappa': {kappa!r} (classify needs an integer)")
+        cov = lattice_covering(cfg.get("rho", 1.0), d, N, kappa=int(kappa))
     else:
         raise ConfigError(f"unknown covering '{covering}'")
     # cells take 48 nodes unless the config sets `nodes`

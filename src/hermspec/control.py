@@ -5,8 +5,9 @@ diagonally with eigenvalues 2|alpha| + d, the observability Gramian has the
 closed form B[a,b] = G_S[a,b] (1 - exp(-(lam_a+lam_b) T)) / (lam_a+lam_b), and
 the minimal-norm control is u(t) = 1_S exp(-(T-t)H) eta with B eta =
 -exp(-TH) phi_0.  A ControlProblem forms B for one (G_S, T) and factors it
-once by the Jacobi eigendecomposition; every HUM control, the observability
-constant and the worst-case initial state of that system reuse the factors.
+once by LAPACK's symmetric eigendecomposition (numpy.linalg.eigh); every HUM
+control, the observability constant and the worst-case initial state of that
+system reuse the factors.
 An eigenvalue floor guards every solve, so severely non-observable sets
 surface as typed signals instead of blow-ups.
 """

@@ -2,15 +2,19 @@
 
 Boxes are integrated by tensor Gauss-Legendre with per-axis panel splitting
 (long boxes are cut into panels of bounded length so that the fixed node count
-resolves the Gaussian factor); the tensor structure lets each box contribute a
-product of one-dimensional moment matrices.  Balls use the chord rule: the
-first coordinate is x_1 = c_1 + r sin(theta) with Gauss-Legendre nodes in
-theta, and each node carries the (d-1)-ball of radius r cos(theta), down to
-a paneled interval in one dimension; the substitution removes the square-root
-ends of the chords, so the integrand is smooth in theta.  All weights are
-positive, so every Gram is PSD by construction.  Full-space weighted Grams
-use scaled Gauss-Hermite nodes with the Gaussian weight absorbed
-analytically, which is exact for the polynomial factors.
+resolves the Gaussian factor).  Balls use the chord rule: the first coordinate
+is x_1 = c_1 + r sin(theta) with Gauss-Legendre nodes in theta, and each node
+carries the (d-1)-ball of radius r cos(theta), down to a paneled interval in
+one dimension; the substitution removes the square-root ends of the chords,
+so the integrand is smooth in theta.
+
+Every region yields rows F with F^T F equal to its Gram: sqrt(w) times the
+basis table for a batch of ball slices, and for a box the Hadamard product of
+the per-axis triangles qr(sqrt(w) phi(x)).  Householder QR compresses all rows
+of a set into one n x n upper triangle R_S with G_S = R_S^T R_S, so every Gram
+is PSD by construction and its smallest eigenvalue is sigma_min(R_S)^2.
+Full-space weighted Grams use scaled Gauss-Hermite nodes with the Gaussian
+weight absorbed analytically, which is exact for the polynomial factors.
 """
 
 import math
@@ -26,21 +30,22 @@ from .errors import InputError, QuadratureError
 # Node doubling stops here: Gauss-Legendre nodes come from an n x n eigenproblem
 # (numpy leggauss takes about 0.7 s at 2048 nodes and 4.5 s at 4096).
 MAX_NODES = 2048
+# Longest panel of an axis rule: the fixed node count then resolves the Gaussian.
+PANEL_MAX = 4.0
+# Rows per Householder QR update; larger blocks raise peak memory.
+QR_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
     nodes: int = 64
     tol: float = 1e-11
-    panel_max: float = 4.0
 
     def __post_init__(self):
         if not 1 <= self.nodes <= MAX_NODES:
             raise InputError(f"nodes must be between 1 and {MAX_NODES}")
         if self.tol <= 0:
             raise InputError("tol must be positive")
-        if self.panel_max <= 0:
-            raise InputError("invalid quadrature rule parameters")
 
 
 DEFAULT_RULE = QuadratureRule()
@@ -56,45 +61,43 @@ def _hermgauss(n):
     return np.polynomial.hermite.hermgauss(n)
 
 
-def axis_panels(a, b, panel_max):
-    """Split [a, b] into equal panels of length at most panel_max."""
-    npan = max(1, int(math.ceil((b - a) / panel_max)))
-    edges = np.linspace(a, b, npan + 1)
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def axis_quadrature(a, b, nodes, panel_max):
-    """Paneled Gauss-Legendre nodes and weights on [a, b]."""
+def axis_quadrature(a, b, nodes):
+    """Gauss-Legendre nodes and weights on [a, b], cut into equal panels of at most PANEL_MAX."""
     x, w = _leggauss(nodes)
-    xs, ws = [], []
-    for lo, hi in axis_panels(a, b, panel_max):
-        half = (hi - lo) / 2.0
-        xs.append(half * x + (hi + lo) / 2.0)
-        ws.append(half * w)
-    return np.concatenate(xs), np.concatenate(ws)
+    edges = np.linspace(a, b, max(1, math.ceil((b - a) / PANEL_MAX)) + 1)
+    half = ((edges[1:] - edges[:-1]) / 2.0)[:, None]
+    mid = ((edges[1:] + edges[:-1]) / 2.0)[:, None]
+    return (half * x + mid).ravel(), (half * w).ravel()
 
 
-def _ball_points(center, r, nodes, panel_max):
+def _ball_points(center, r, nodes):
     """Chord-rule points (n, d) and weights on the ball |x - center| <= r.
 
-    Yields one (points, weights) slice per Gauss-Legendre node in theta, so a
-    caller can accumulate over slices without holding the whole point set.
-    For d >= 2 the slice at theta is the (d-1)-ball of radius r cos(theta)
-    about center[1:], lifted to x_1 = c_1 + r sin(theta), with its weights
-    scaled by (pi/2) w r cos(theta).  For d = 1 the single slice is the
-    paneled interval rule of axis_quadrature.
+    Yields (points, weights) batches of whole theta slices, each batch but the
+    last at least QR_BLOCK_ROWS points, so a caller can accumulate over them
+    without holding the whole point set.  For d >= 2 the slice at a
+    Gauss-Legendre node theta is the (d-1)-ball of radius r cos(theta) about
+    center[1:], lifted to x_1 = c_1 + r sin(theta), with its weights scaled by
+    (pi/2) w r cos(theta).  For d = 1 the single slice is the paneled interval
+    rule of axis_quadrature.
     """
     if len(center) == 1:
-        x, w = axis_quadrature(center[0] - r, center[0] + r, nodes, panel_max)
+        x, w = axis_quadrature(center[0] - r, center[0] + r, nodes)
         yield x[:, None], w
         return
     t, wt = _leggauss(nodes)
+    batch = []
     for tk, wk in zip(t, wt):
         theta = 0.5 * math.pi * tk
         rho = r * math.cos(theta)
-        p, q = _joined(_ball_points(center[1:], rho, nodes, panel_max))
+        p, q = _joined(_ball_points(center[1:], rho, nodes))
         x1 = np.full((p.shape[0], 1), center[0] + r * math.sin(theta))
-        yield np.hstack([x1, p]), (0.5 * math.pi * wk * rho) * q
+        batch.append((np.hstack([x1, p]), (0.5 * math.pi * wk * rho) * q))
+        if sum(len(w) for _, w in batch) >= QR_BLOCK_ROWS:
+            yield _joined(batch)
+            batch = []
+    if batch:
+        yield _joined(batch)
 
 
 def _joined(slices):
@@ -106,24 +109,23 @@ def _joined(slices):
 def region_quadrature(region, rule=DEFAULT_RULE):
     """Full point/weight set for integrating a generic integrand over a region."""
     if region.kind == "ball":
-        return _joined(_ball_points(region.center, region.radius, rule.nodes, rule.panel_max))
-    axes = [axis_quadrature(c - h, c + h, rule.nodes, rule.panel_max)
-            for c, h in zip(region.center, region.half_sides)]
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    p = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    w = np.ones(p.shape[0])
-    for g in wgrids:
-        w = w * g.ravel()
-    return p, w
+        return _joined(_ball_points(region.center, region.radius, rule.nodes))
+    x, w = zip(*(axis_quadrature(c - h, c + h, rule.nodes)
+                 for c, h in zip(region.center, region.half_sides)))
+    p = np.stack([g.ravel() for g in np.meshgrid(*x, indexing="ij")], axis=1)
+    return p, np.prod(np.meshgrid(*w, indexing="ij"), axis=0).ravel()
 
 
 @dataclass
 class GramMatrix:
-    """Symmetric PSD matrix of pairwise L^2(S) inner products of basis functions."""
+    """Symmetric PSD matrix of pairwise L^2(S) inner products of basis functions.
+
+    factor, when known, is an upper triangle R with entries = R^T R.
+    """
 
     basis: BasisIndexSet
     entries: np.ndarray
+    factor: np.ndarray = None
 
     def quadratic_form(self, coeffs):
         coeffs = np.asarray(coeffs)
@@ -151,21 +153,6 @@ def _alpha_matrix(basis):
     return np.asarray(basis.indices, dtype=int)
 
 
-def _box_gram(basis, center, half, nodes, panel_max):
-    """Tensor-factorized Gram contribution of a box region."""
-    d = basis.dimension
-    half = np.broadcast_to(np.asarray(half, dtype=float), (d,))
-    alph = _alpha_matrix(basis)
-    G = np.ones((basis.size, basis.size))
-    for j in range(d):
-        xj, wj = axis_quadrature(center[j] - half[j], center[j] + half[j], nodes, panel_max)
-        P = eval_phi_table(basis.max_degree, xj)
-        A = P.T @ (wj[:, None] * P)
-        idx = alph[:, j]
-        G *= A[np.ix_(idx, idx)]
-    return G
-
-
 def _basis_table(basis, points):
     """Matrix of Phi_alpha(x_i) values at (npoints, d) points, shape (npoints, basis.size)."""
     alph = _alpha_matrix(basis)
@@ -175,31 +162,59 @@ def _basis_table(basis, points):
     return out
 
 
-def _region_gram(basis, region, nodes, rule):
-    if region.kind == "box":
-        return _box_gram(basis, np.asarray(region.center, dtype=float),
-                         region.half_sides, nodes, rule.panel_max)
-    # one theta slice at a time: a 3-D ball at 128^3 points would need a GB table
-    G = np.zeros((basis.size, basis.size))
-    for pts, w in _ball_points(region.center, region.radius, nodes, rule.panel_max):
-        T = _basis_table(basis, pts)
-        G += T.T @ (w[:, None] * T)
-    return G
+def _triangle(R, rows):
+    """Upper triangle T with T^T T = R^T R + rows^T rows, by blockwise Householder QR."""
+    for i in range(0, rows.shape[0], QR_BLOCK_ROWS):
+        R = np.linalg.qr(np.vstack([R, rows[i:i + QR_BLOCK_ROWS]]), mode="r")
+    return R
+
+
+def _square(R):
+    """Pad a k x n upper trapezoid (k <= n) with zero rows to an n x n triangle."""
+    return np.vstack([R, np.zeros((R.shape[1] - R.shape[0], R.shape[1]))])
+
+
+def _region_rows(basis, region, nodes):
+    """Row blocks F of a region whose F^T F sum to its Gram."""
+    if region.kind == "ball":
+        # a batch at a time: a 3-D ball at 128^3 points would need a GB table
+        for pts, w in _ball_points(region.center, region.radius, nodes):
+            yield np.sqrt(w)[:, None] * _basis_table(basis, pts)
+        return
+    # a box Gram is the Hadamard product of per-axis moment matrices A_j = R_j^T R_j;
+    # R_j is upper triangular and the basis graded, so the Hadamard product of the
+    # R_j[alpha_j, beta_j] is an n x n upper triangle whose Gram is that product
+    alph = _alpha_matrix(basis)
+    F = np.ones((basis.size, basis.size))
+    for j, (c, h) in enumerate(zip(region.center, region.half_sides)):
+        x, w = axis_quadrature(c - h, c + h, nodes)
+        P = np.sqrt(w)[:, None] * eval_phi_table(basis.max_degree, x)
+        idx = alph[:, j]
+        F *= _square(_triangle(np.empty((0, P.shape[1])), P))[np.ix_(idx, idx)]
+    yield F
+
+
+def _set_factor(basis, S, nodes):
+    """n x n upper triangle R_S with R_S^T R_S the Gram of S at this node count."""
+    R = np.empty((0, basis.size))
+    for region in S.regions:
+        for F in _region_rows(basis, region, nodes):
+            R = _triangle(R, F)
+    return _square(R)
 
 
 def gram_over_set(basis, S, rule=DEFAULT_RULE):
-    """Gram matrix over a sensor set, adaptively refined by node doubling up to MAX_NODES."""
-    if not S.regions:
-        return GramMatrix(basis, np.zeros((basis.size, basis.size)))
+    """Gram matrix over a sensor set and its factor, refined by node doubling up to MAX_NODES."""
     nodes = rule.nodes
-    prev = cur = sum(_region_gram(basis, r, nodes, rule) for r in S.regions)
+    R = _set_factor(basis, S, nodes)
+    prev = cur = R.T @ R
     while 2 * nodes <= MAX_NODES:
         nodes *= 2
-        cur = sum(_region_gram(basis, r, nodes, rule) for r in S.regions)
+        R = _set_factor(basis, S, nodes)
+        cur = R.T @ R
         scale = max(1.0, float(np.max(np.abs(cur))))
         if np.max(np.abs(cur - prev)) <= rule.tol * scale:
-            cur = 0.5 * (cur + cur.T)  # symmetrize roundoff
-            return GramMatrix(basis, cur)
+            return GramMatrix(basis, 0.5 * (cur + cur.T), R)  # symmetrize roundoff
         prev = cur
     raise QuadratureError(
         f"no convergence at {nodes} nodes (doubling stops at {MAX_NODES})",
@@ -217,13 +232,7 @@ def _weighted_axis_matrix(max_degree, w):
     s = math.sqrt(1.0 - 2.0 * w)
     u, wu = _hermgauss(max_degree + 2)
     t = u / s
-    # polynomial part H~_k(t) = phi_k(t) exp(t^2 / 2), by the same recurrence
-    H = np.empty((t.size, max_degree + 1))
-    H[:, 0] = math.pi ** -0.25
-    if max_degree >= 1:
-        H[:, 1] = math.sqrt(2.0) * t * H[:, 0]
-    for k in range(1, max_degree):
-        H[:, k + 1] = math.sqrt(2.0 / (k + 1)) * t * H[:, k] - math.sqrt(k / (k + 1.0)) * H[:, k - 1]
+    H = eval_phi_table(max_degree, t) * np.exp(0.5 * t * t)[:, None]  # polynomial parts
     return (H.T @ (wu[:, None] * H)) / s
 
 

@@ -333,6 +333,21 @@ def test_cli_exit_2_on_bad_input(tmp_path, capsys, sub, config, overrides, key, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kappa, code", [("1.9", 2), ("2", 0)])
+def test_classify_takes_only_an_integer_kappa(tmp_path, capsys, kappa, code):
+    cfg = write(tmp_path, "k.cfg", (
+        "dimension = 1\ndegree_max = 3\nm_max = 2\nsamples = 2\n"
+        f"kappa = {kappa}\nout_dir = {tmp_path / 'out'}\n"
+    ))
+    assert main(["classify", "--config", cfg]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("config error: ") and "'kappa'" in err and "1.9" in err
+        assert not (tmp_path / "out").exists()
+    else:
+        assert (tmp_path / "out" / "classify.csv").exists()
+
+
 def test_set_and_config_line_give_the_same_cfg():
     items = ["dimension=2", "T=0.5", "samples=3", "set=inline", "region=box 0.0 0.0 1.0 1.0"]
     from_file = parse_config("".join(i.replace("=", " = ", 1) + "\n" for i in items))

@@ -162,22 +162,28 @@ def test_gram_psd_and_symmetric():
 
 
 def test_weighted_gram_against_mpmath():
-    # entries of int phi_a phi_b exp(2 w t^2) dt
+    # entries of int phi_a phi_b exp(2 w t^2) dt, from exact Hermite coefficients
+    # and the Gaussian moments int t^k exp(-(1 - 2w) t^2) dt = Gamma((k+1)/2) (1-2w)^(-(k+1)/2)
     w = 1.0 / 64.0
     basis = BasisIndexSet(1, 4)
     Gw = gram_fullspace_weighted(basis, w)
     with mpmath.workdps(40):
-        def phi(k, t):
-            h = mpmath.hermite(k, t)
-            norm = mpmath.sqrt(2 ** k * mpmath.factorial(k) * mpmath.sqrt(mpmath.pi))
-            return h / norm * mpmath.e ** (-t ** 2 / 2)
+        def coeffs(n):  # t^i coefficients of phi_n(t) exp(t^2 / 2)
+            norm = mpmath.sqrt(2 ** n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
+            c = [mpmath.mpf(0)] * (n + 1)
+            for m in range(n // 2 + 1):
+                c[n - 2 * m] = ((-1) ** m * mpmath.factorial(n) * 2 ** (n - 2 * m)
+                                / (mpmath.factorial(m) * mpmath.factorial(n - 2 * m) * norm))
+            return c
 
+        s = 1 - 2 * mpmath.mpf(w)
+        moment = [mpmath.gamma(mpmath.mpf(k + 1) / 2) * s ** (-mpmath.mpf(k + 1) / 2)
+                  if k % 2 == 0 else 0 for k in range(9)]
         for a in range(5):
             for b in range(a, 5):
-                oracle = float(mpmath.quad(
-                    lambda t: phi(a, t) * phi(b, t) * mpmath.e ** (2 * w * t ** 2),
-                    [-mpmath.inf, mpmath.inf],
-                ))
+                oracle = float(sum(ca * cb * moment[i + j]
+                                   for i, ca in enumerate(coeffs(a))
+                                   for j, cb in enumerate(coeffs(b))))
                 assert Gw.entries[a, b] == pytest.approx(oracle, abs=1e-12)
 
 

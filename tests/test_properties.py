@@ -1,8 +1,9 @@
-"""Identities the mathematics guarantees, checked on d = 1 intervals with N <= 8.
+"""Identities the mathematics guarantees, checked on d = 1 intervals with N <= 20.
 
-Each property compares Grams built from different region splits, so a
-quadrature that depended on where a set is cut would break it.  Examples are
-derandomized, so the suite is deterministic.
+Most properties compare Grams built from different region splits, so a
+quadrature that depended on where a set is cut would break it; one bounds
+lam_min to (0, 1], which must hold however far below machine epsilon the
+constant falls.  Examples are derandomized, so the suite is deterministic.
 """
 
 import numpy as np
@@ -50,6 +51,18 @@ def test_lam_min_is_monotone_under_inclusion(N, cuts):
     outer, _ = spectral_constant(
         gram_over_set(basis, SensorSet((Region.interval(outer_a, outer_b),))))
     assert inner <= outer + 1e-14
+
+
+@examples
+@given(N=st.integers(min_value=0, max_value=20),
+       cuts=st.lists(points, min_size=2, max_size=6, unique=True))
+def test_lam_min_lies_in_the_unit_interval(N, cuts):
+    # consecutive pairs of sorted cuts are the intervals of a disjoint union
+    cuts = sorted(cuts)[: len(cuts) // 2 * 2]
+    assume(min(b - a for a, b in zip(cuts, cuts[1:])) > 1e-3)
+    S = SensorSet(tuple(Region.interval(a, b) for a, b in zip(cuts[::2], cuts[1::2])))
+    lam, _ = spectral_constant(gram_over_set(BasisIndexSet(1, N), S))
+    assert 0.0 < lam <= 1.0 + 1e-12
 
 
 @examples

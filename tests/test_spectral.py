@@ -41,12 +41,71 @@ def test_jacobi_against_numpy_eigh():
         # eigenvectors: orthonormal and diagonalizing
         assert vecs.T @ vecs == pytest.approx(np.eye(n), abs=1e-12)
         assert vecs.T @ A @ vecs == pytest.approx(np.diag(vals), abs=1e-10)
+        # fixed signs: each vector's largest-magnitude entry is positive
+        assert np.all(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)] > 0)
 
 
 def test_jacobi_ascending_order():
     A = np.diag([3.0, -1.0, 2.0])
     vals, _ = jacobi_eigh(A)
     assert vals.tolist() == [-1.0, 2.0, 3.0]
+
+
+def mpmath_lam_min(intervals, N, dps=80):
+    """lam_min of a d = 1 interval union by exact Hankel moments in mpmath.
+
+    G = C H C^T with C the monomial coefficients of the normalized Hermite
+    polynomials and H[i, j] = int_S t^(i+j) exp(-t^2) dt, each moment a
+    lower incomplete gamma function.
+    """
+    with mpmath.workdps(dps):
+        C = mpmath.zeros(N + 1, N + 1)
+        for n in range(N + 1):
+            norm = mpmath.sqrt(2 ** n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
+            for m in range(n // 2 + 1):
+                C[n, n - 2 * m] = ((-1) ** m * mpmath.factorial(n) * 2 ** (n - 2 * m)
+                                   / (mpmath.factorial(m) * mpmath.factorial(n - 2 * m) * norm))
+
+        def primitive(x, k):  # int_0^x t^k exp(-t^2) dt
+            x = mpmath.mpf(x)
+            return mpmath.sign(x) ** (k + 1) * mpmath.gammainc((k + 1) / mpmath.mpf(2), 0, x * x) / 2
+
+        mu = [sum(primitive(b, k) - primitive(a, k) for a, b in intervals)
+              for k in range(2 * N + 1)]
+        H = mpmath.matrix(N + 1, N + 1)
+        for i in range(N + 1):
+            for j in range(N + 1):
+                H[i, j] = mu[i + j]
+        return float(min(mpmath.eigsy(C * H * C.T, eigvals_only=True)))
+
+
+def test_lam_min_below_machine_epsilon_against_mpmath():
+    S = SensorSet((Region.interval(-0.89, 0.62),))
+    lam, _ = spectral_constant(gram_over_set(BasisIndexSet(1, 12), S))
+    ref = mpmath_lam_min([(-0.89, 0.62)], 12)
+    assert abs(lam - ref) <= 1e-5 * ref  # ref is about 8e-19
+
+
+@pytest.mark.parametrize("d, N, region", [
+    (1, 20, Region.interval(-0.89, 0.62)),
+    (1, 30, Region.interval(-0.89, 0.62)),
+    (2, 10, Region.box((0.5, -0.125), (0.4, 0.475))),  # [0.1, 0.9] x [-0.6, 0.35]
+])
+def test_lam_min_stays_positive_far_below_epsilon(d, N, region):
+    lam, v = spectral_constant(gram_over_set(BasisIndexSet(d, N), SensorSet((region,))))
+    assert lam > 0.0
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-13
+
+
+def test_factor_and_entries_paths_agree():
+    S = SensorSet((Region.interval(-2.0, 3.0), Region.interval(4.0, 6.0)))
+    G = gram_over_set(BasisIndexSet(1, 5), S)
+    assert np.max(np.abs(G.factor.T @ G.factor - G.entries)) <= 1e-15
+    lam_f, v_f = spectral_constant(G)
+    lam_e, v_e = spectral_constant(GramMatrix(G.basis, G.entries))
+    assert lam_f > 1e-3
+    assert abs(lam_f - lam_e) <= 1e-13
+    assert np.max(np.abs(v_f - v_e)) <= 1e-13
 
 
 def test_spectral_constant_analytic_2x2():
