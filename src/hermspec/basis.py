@@ -25,12 +25,27 @@ _PI_QUARTER = math.pi ** -0.25
 
 def multi_indices(d, max_degree):
     """All alpha in N_0^d with |alpha| <= max_degree, graded lex order."""
+    return list(_index_tuple(d, max_degree))
+
+
+@lru_cache(maxsize=None)
+def _index_tuple(d, max_degree):
+    """The enumeration of multi_indices, built once per (d, N).
+
+    Graded order makes the degree-N enumeration a prefix of every larger one.
+    """
     if d < 1 or max_degree < 0:
         raise InputError(f"need d >= 1 and max_degree >= 0, got d={d}, N={max_degree}")
     out = []
     for n in range(max_degree + 1):
         out.extend(_compositions(n, d))
-    return out
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _position_map(d, max_degree):
+    """alpha -> its position in the degree-N enumeration."""
+    return {alpha: i for i, alpha in enumerate(_index_tuple(d, max_degree))}
 
 
 def _compositions(n, d):
@@ -49,21 +64,18 @@ class BasisIndexSet:
 
     dimension: int
     max_degree: int
-    indices: tuple = field(init=False)
+    # fixed by (dimension, max_degree), so it takes no part in equality or hashing
+    indices: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(multi_indices(self.dimension, self.max_degree)))
+        object.__setattr__(self, "indices", _index_tuple(self.dimension, self.max_degree))
 
     @property
     def size(self):
         return len(self.indices)
 
-    @lru_cache(maxsize=None)
-    def _positions(self):
-        return {alpha: i for i, alpha in enumerate(self.indices)}
-
     def position(self, alpha):
-        return self._positions()[tuple(alpha)]
+        return _position_map(self.dimension, self.max_degree)[tuple(alpha)]
 
     def degrees(self):
         return np.array([sum(a) for a in self.indices])
@@ -163,9 +175,9 @@ class HermiteVector:
         if max_degree < self.basis.max_degree:
             raise InputError("cannot embed into a smaller basis")
         target = BasisIndexSet(self.basis.dimension, max_degree)
+        # graded order: the smaller basis is a prefix of the larger one
         c = np.zeros(target.size)
-        for coef, alpha in zip(self.coeffs, self.basis.indices):
-            c[target.position(alpha)] = coef
+        c[:self.basis.size] = self.coeffs
         return HermiteVector(target, c)
 
 
@@ -180,23 +192,48 @@ def derivative_operator(f, axis):
     """Exact partial derivative d/dx_axis of f, as a HermiteVector of degree N+1.
 
     Uses the ladder identity phi_k' = sqrt(k/2) phi_{k-1} - sqrt((k+1)/2) phi_{k+1}
-    coordinate-wise; axis is 0-based.
+    coordinate-wise; axis is 0-based.  Output entry beta gets at most two
+    terms, summed in this order: -c sqrt((k+1)/2) from the earlier index
+    beta - e_axis, then c sqrt(k/2) from the later index beta + e_axis.
     """
     d = f.basis.dimension
     if not 0 <= axis < d:
         raise InputError(f"axis {axis} outside 0..{d - 1}")
-    target = BasisIndexSet(d, f.basis.max_degree + 1)
+    N = f.basis.max_degree
+    up, up_factor, has_down, down, down_factor = _ladder_maps(d, N, axis)
+    target = BasisIndexSet(d, N + 1)
     out = np.zeros(target.size)
-    for coef, alpha in zip(f.coeffs, f.basis.indices):
-        if coef == 0.0:
-            continue
-        k = alpha[axis]
-        if k > 0:
-            down = alpha[:axis] + (k - 1,) + alpha[axis + 1:]
-            out[target.position(down)] += coef * math.sqrt(k / 2.0)
-        up = alpha[:axis] + (k + 1,) + alpha[axis + 1:]
-        out[target.position(up)] -= coef * math.sqrt((k + 1) / 2.0)
+    out[up] -= f.coeffs * up_factor
+    out[down] += f.coeffs[has_down] * down_factor
     return HermiteVector(target, out)
+
+
+@lru_cache(maxsize=None)
+def _ladder_maps(d, max_degree, axis):
+    """Target positions and factors of the ladder identity from degree N to N + 1.
+
+    up[i] is the position of alpha_i + e_axis, with factor sqrt((k+1)/2);
+    has_down selects the alpha_i with k = alpha_i[axis] > 0, and down holds
+    the position of alpha_i - e_axis, with factor sqrt(k/2).  Both position
+    maps are injective.
+    """
+    target = _position_map(d, max_degree + 1)
+    alphas = np.array(_index_tuple(d, max_degree), dtype=np.int64).reshape(-1, d)
+    k = alphas[:, axis]
+    step = np.zeros(d, dtype=np.int64)
+    step[axis] = 1
+    up = np.array([target[tuple(a)] for a in (alphas + step).tolist()], dtype=np.int64)
+    has_down = k > 0
+    down = np.array([target[tuple(a)] for a in (alphas[has_down] - step).tolist()],
+                    dtype=np.int64)
+    return _frozen((up, np.sqrt((k + 1) / 2.0), has_down, down, np.sqrt(k[has_down] / 2.0)))
+
+
+def _frozen(arrays):
+    """The arrays, made read-only: a cached table is shared by every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def derivative_multi(f, alpha):

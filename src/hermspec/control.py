@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import HermiteVector
 from .errors import InputError, NonControllableError, NonObservableError
-from .gram import GramMatrix
+from .gram import GramMatrix, _leggauss
 from .spectral import jacobi_eigh
 
 
@@ -43,7 +43,7 @@ def observability_gramian(G_S, basis, T):
 
 def observability_gramian_quadrature(G_S, basis, T, nodes=100):
     """Time-quadrature oracle for the Gramian (Gauss-Legendre in t)."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _leggauss(nodes)
     t = 0.5 * T * (x + 1.0)
     w = 0.5 * T * w
     lam = basis.semigroup_eigenvalues()

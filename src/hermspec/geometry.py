@@ -490,9 +490,11 @@ def besicovitch_covering(spec, d, N, K=16):
     - constant radius (profile "constant", or eps = 1): flat order, in blocks
       of leading-axis rows.
 
-    The whole-grid state is one bool covered array and one int16 overlap
-    count.  meta["kappa_measured"] is the largest count over A's grid points;
-    the assumed overlap bound kappa = K^d enters the covering parameters.
+    The whole-grid state is one int16 overlap count; a point is covered when
+    its count is nonzero.  Once a ball holds all of A with a margin of one
+    grid step, no point is left uncovered and the walk stops.
+    meta["kappa_measured"] is the largest count over A's grid points; the
+    assumed overlap bound kappa = K^d enters the covering parameters.
     Raises ResolutionError when the grid needs more than 40000 points per
     semi-axis or more than MAX_GRID_POINTS in all.
     """
@@ -517,16 +519,16 @@ def besicovitch_covering(spec, d, N, K=16):
     axis = np.arange(-n, n + 1) * h
     sq = axis * axis
     A2 = A_radius ** 2
-    covered = np.zeros((side,) * d, dtype=bool)
     overlap = np.zeros((side,) * d, dtype=np.int16)
-    covered_flat = covered.reshape(-1)
+    overlap_flat = overlap.reshape(-1)
     if spec.profile == "power" and spec.eps < 1.0:
-        bands = _shell_bands(spec, sq, d, A2, covered_flat)
+        bands = _shell_bands(spec, sq, d, A2, overlap_flat)
     else:
-        bands = _slab_bands(float(spec.R), sq, d, A2, covered_flat)
+        bands = _slab_bands(float(spec.R), sq, d, A2, overlap_flat)
 
     centers = []
     center_radii = []
+    holds_A = False
     # each band holds the points still uncovered when the greedy reaches it
     for flat, radii in bands:
         if np.any(radii < h):
@@ -534,21 +536,23 @@ def besicovitch_covering(spec, d, N, K=16):
         order = np.lexsort((flat, -radii))
         flat, radii = flat[order], radii[order]
         k = 0
-        while k < flat.size:
+        while k < flat.size and not holds_A:
             # jump to the first uncovered point, one window of the band at a time
-            window = covered_flat[flat[k:k + 256]]
+            window = overlap_flat[flat[k:k + 256]] != 0
             if window.all():
                 k += window.size
                 continue
             k += int(window.argmin())
             idx, r = int(flat[k]), float(radii[k])
             k += 1
-            c = (np.array(np.unravel_index(idx, covered.shape)) - n) * h
-            _mark_ball(covered, overlap, c, r, h, n)
+            c = (np.array(np.unravel_index(idx, overlap.shape)) - n) * h
+            _mark_ball(overlap, c, r, h, n)
             centers.append(c)
             center_radii.append(r)
+            holds_A = float(np.linalg.norm(c)) + A_radius + h <= r
+        if holds_A:
+            break
 
-    overlap_flat = overlap.reshape(-1)
     kappa_measured = max(int(overlap_flat[flat].max(initial=0))
                          for flat in _row_blocks(sq, d, A2))
     elements = tuple(Region.ball(c, r) for c, r in zip(centers, center_radii))
@@ -592,19 +596,19 @@ def _row_blocks(sq, d, A2):
         yield np.flatnonzero(r2.ravel() <= A2) + a * row
 
 
-def _slab_bands(R, sq, d, A2, covered_flat):
+def _slab_bands(R, sq, d, A2, overlap_flat):
     """(flat, radii) of A's uncovered grid points for a constant radius R, in flat order."""
     for flat in _row_blocks(sq, d, A2):
-        flat = flat[~covered_flat[flat]]
+        flat = flat[overlap_flat[flat] == 0]
         yield flat, np.full(flat.size, R)
 
 
-def _shell_bands(spec, sq, d, A2, covered_flat):
+def _shell_bands(spec, sq, d, A2, overlap_flat):
     """(flat, radii) of A's uncovered grid points for the power profile, in bands of descending radius.
 
     Every radius in a band is at least every radius in the bands after it;
-    the greedy sorts each band by (-radius, flat).  Points already marked in
-    covered_flat are dropped before their radii are computed.
+    the greedy sorts each band by (-radius, flat).  Points already covered
+    (nonzero in overlap_flat) are dropped before their radii are computed.
     """
     p = (1.0 - spec.eps) / 2.0
     n = sq.size // 2
@@ -617,8 +621,8 @@ def _shell_bands(spec, sq, d, A2, covered_flat):
     while q_hi >= 0:
         q_lo = int(max(q_hi ** (d / 2.0) - per_q, 0.0) ** (2.0 / d))
         flat, r2 = _lattice_shell(sq, d, q_lo, q_hi)
-        new = (r2 <= A2) & ~covered_flat[flat]
-        kept = ~covered_flat[carry_flat]
+        new = (r2 <= A2) & (overlap_flat[flat] == 0)
+        kept = overlap_flat[carry_flat] == 0
         flat = np.concatenate([carry_flat[kept], flat[new]])
         radii = np.concatenate([carry_radii[kept], spec.R * (1.0 + r2[new]) ** p])
         if q_lo > 0 and flat.size:
@@ -667,17 +671,15 @@ def _isqrt(x):
     return r
 
 
-def _mark_ball(covered, overlap, center, radius, h, n):
-    """Mark the grid points within the ball as covered and bump their overlap count."""
+def _mark_ball(overlap, center, radius, h, n):
+    """Bump the overlap count of the grid points within the ball."""
     d = len(center)
     lo = np.maximum(np.floor((center - radius) / h).astype(np.int64), -n)
     hi = np.minimum(np.ceil((center + radius) / h).astype(np.int64), n)
     box = tuple(slice(a + n, b + n + 1) for a, b in zip(lo, hi))
     dist2 = sum(_axis_view((np.arange(lo[j], hi[j] + 1) * h - center[j]) ** 2, j, d)
                 for j in range(d))
-    inside = dist2 <= radius ** 2
-    covered[box] |= inside
-    overlap[box] += inside
+    overlap[box] += dist2 <= radius ** 2
 
 
 def scaled_set(S, t):

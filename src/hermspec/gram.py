@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import BasisIndexSet, eval_phi_table
+from .basis import BasisIndexSet, _frozen, eval_phi_table
 from .errors import InputError, QuadratureError
 
 
@@ -53,12 +53,12 @@ DEFAULT_RULE = QuadratureRule()
 
 @lru_cache(maxsize=64)
 def _leggauss(n):
-    return np.polynomial.legendre.leggauss(n)
+    return _frozen(np.polynomial.legendre.leggauss(n))
 
 
 @lru_cache(maxsize=64)
 def _hermgauss(n):
-    return np.polynomial.hermite.hermgauss(n)
+    return _frozen(np.polynomial.hermite.hermgauss(n))
 
 
 def axis_quadrature(a, b, nodes):

@@ -20,7 +20,7 @@ import numpy as np
 from .basis import BasisIndexSet, derivative_operator, _compositions
 from .bounds import bernstein_CB_log, delta_choice
 from .errors import InputError, VerificationError
-from .gram import DEFAULT_RULE, _basis_table, gram_over_set, region_quadrature
+from .gram import DEFAULT_RULE, _basis_table, _leggauss, gram_over_set, region_quadrature
 
 
 def _positive_lead(vecs):
@@ -76,25 +76,60 @@ def spectral_report(basis, S, rule=DEFAULT_RULE):
     return SpectralReport(basis.max_degree, basis.dimension, set_hash, lam, v)
 
 
+# Most rows in one block of cell tables: a block's temporaries stay in cache.
+CELL_BLOCK_ROWS = 2 ** 13
+
+
 class CellContext:
-    """Cached per-cell quadrature and basis tables for repeated classification."""
+    """Quadrature and basis tables of every cell, in blocks for repeated classification.
+
+    A block stacks the tables and weights of consecutive cells with one point
+    count, at most CELL_BLOCK_ROWS rows (or one cell).  cells[k] is the
+    (weights, table) pair of cell k, as views into its block.  Coverings list
+    cells of one size together (a lattice's cells are equal, and Besicovitch
+    balls come in descending radius), so blocks are few.
+    """
 
     def __init__(self, covering, d, eval_degree, rule=DEFAULT_RULE):
         self.covering = covering
         self.eval_basis = BasisIndexSet(d, eval_degree)
         self.cells = []
-        for region in covering.elements:
-            pts, wts = region_quadrature(region, rule)
-            tables = _basis_table(self.eval_basis, pts)
-            self.cells.append((wts, tables))
+        self._blocks = []
+        quads = (region_quadrature(region, rule) for region in covering.elements)
+        for run in _equal_size_runs(quads, CELL_BLOCK_ROWS):
+            n, p = len(run), run[0][1].size
+            wts = np.concatenate([w for _, w in run])
+            table = _basis_table(self.eval_basis, np.concatenate([x for x, _ in run]))
+            self._blocks.append((slice(len(self.cells), len(self.cells) + n),
+                                 wts.reshape(n, 1, p), table))
+            self.cells.extend((wts[i:i + p], table[i:i + p]) for i in range(0, n * p, p))
 
     def cell_norms2(self, columns):
-        """Squared local L^2(Q_k) norms of each column vector, per cell."""
+        """Squared local L^2(Q_k) norms of each column vector, per cell.
+
+        One matmul per block; each cell's weighted sum is then its own
+        matrix-vector product, batched over the block, so every norm is
+        bitwise the one of a per-cell loop (add.reduceat would sum in
+        another order).
+        """
         out = np.empty((len(self.cells), columns.shape[1]))
-        for k, (wts, table) in enumerate(self.cells):
+        for ks, w, table in self._blocks:
             vals = table @ columns
-            out[k] = wts @ (vals * vals)
+            vals *= vals
+            out[ks] = (w @ vals.reshape(w.shape[0], w.shape[2], -1))[:, 0]
         return out
+
+
+def _equal_size_runs(quads, max_rows):
+    """Consecutive (points, weights) pairs in runs of one point count and at most max_rows rows."""
+    run = []
+    for q in quads:
+        if run and (q[1].size != run[0][1].size or (len(run) + 1) * q[1].size > max_rows):
+            yield run
+            run = []
+        run.append(q)
+    if run:
+        yield run
 
 
 def derivative_columns(f, m_max):
@@ -300,7 +335,7 @@ def counterexample_growth(M, N_list, nodes=500):
     """
     if M <= 0:
         raise InputError("M must be positive")
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _leggauss(nodes)
     x = 0.5 * M * (x + 1.0)
     w = 0.5 * M * w
     rows = []

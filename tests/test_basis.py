@@ -17,6 +17,7 @@ from hermspec import (
     multi_indices,
 )
 from hermspec.rng import SplitMix64
+from reference_loops import derivative_operator_loop, embedded_loop
 
 
 def phi_oracle(k, t):
@@ -123,6 +124,45 @@ def test_derivative_degree_raises_by_one():
     c5 = df.coeffs[df.basis.position((5, 0))]
     assert c3 == pytest.approx(math.sqrt(2.0))
     assert c5 == pytest.approx(-math.sqrt(2.5))
+
+
+def _coeffs_with_zeros(basis, seed):
+    """Seeded coefficients with about a third set to +0.0 or -0.0."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(basis.size)
+    zeros = rng.random(basis.size) < 1 / 3
+    c[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    return HermiteVector(basis, c)
+
+
+@pytest.mark.parametrize("d, N", [(1, 0), (1, 12), (2, 0), (2, 7), (3, 5)])
+def test_derivative_operator_matches_the_coefficient_loop_bitwise(d, N):
+    for seed in range(4):
+        f = _coeffs_with_zeros(BasisIndexSet(d, N), seed)
+        for axis in range(d):
+            got = derivative_operator(f, axis)
+            ref = derivative_operator_loop(f, axis)
+            assert got.basis == ref.basis
+            assert got.coeffs.tobytes() == ref.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("d, N", [(1, 3), (2, 4), (3, 2)])
+def test_embedded_matches_the_coefficient_loop_bitwise(d, N):
+    f = _coeffs_with_zeros(BasisIndexSet(d, N), 11)
+    for M in (N, N + 1, N + 4):
+        assert f.embedded(M).coeffs.tobytes() == embedded_loop(f, M).coeffs.tobytes()
+
+
+def test_basis_index_sets_share_one_enumeration():
+    a, b = BasisIndexSet(3, 6), BasisIndexSet(3, 6)
+    assert a.indices is b.indices and a == b and hash(a) == hash(b)
+    assert a != BasisIndexSet(3, 5)
+    # graded order: each degree's enumeration is a prefix of the next one's
+    assert BasisIndexSet(3, 7).indices[:a.size] == a.indices
+    # the cached enumeration is not handed out for mutation
+    idx = multi_indices(2, 2)
+    idx.append((9, 9))
+    assert multi_indices(2, 2) == list(BasisIndexSet(2, 2).indices)
 
 
 def test_derivative_multi_order():

@@ -2,10 +2,12 @@ import os
 
 import pytest
 
-from hermspec import cli
+from hermspec import cli, spectral
+from hermspec.basis import HermiteVector
 from hermspec.cli import main, parse_config
 from hermspec.errors import ConfigError
 from hermspec.spectral import CellContext
+from reference_loops import LoopCellContext, derivative_operator_loop, embedded_loop
 
 
 def write(tmp_path, name, text):
@@ -381,6 +383,28 @@ def test_set_nodes_reaches_classify_cells(tmp_path, monkeypatch):
     assert main(["classify", "--config", cfg]) == 0
     assert main(["classify", "--config", cfg, "--set", "nodes=8"]) == 0
     assert seen == [48, 8]
+
+
+@pytest.mark.parametrize("sub, text", [
+    # delta = 1 turns cells with nonzero mass bad, so bad_mass_fraction has digits
+    ("classify", "covering = lattice\ndegree_max = 8\nm_max = 5\nseed = 21\ndelta = 1.0\n"),
+    ("classify", "covering = besicovitch\ndegree_max = 6\nm_max = 4\nseed = 22\n"
+                 "gamma = 0.5\neps = 0.5\nR = 1.0\n"),
+    ("bernstein", "degree_max = 12\nm_max = 6\nseed = 23\n"),
+])
+def test_cli_outputs_match_the_loop_reference_byte_for_byte(tmp_path, monkeypatch, sub, text):
+    def run(name):
+        out = tmp_path / name
+        cfg = write(tmp_path, f"{name}.cfg",
+                    f"dimension = 1\nsamples = 12\nout_dir = {out}\n" + text)
+        assert main([sub, "--config", cfg]) == 0
+        return {p: (out / p).read_bytes() for p in (f"{sub}.csv", "manifest.txt")}
+
+    fast = run("fast")
+    monkeypatch.setattr(cli, "CellContext", LoopCellContext)
+    monkeypatch.setattr(spectral, "derivative_operator", derivative_operator_loop)
+    monkeypatch.setattr(HermiteVector, "embedded", embedded_loop)
+    assert run("loops") == fast
 
 
 def test_cli_manifest_names_each_check(tmp_path):

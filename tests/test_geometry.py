@@ -20,6 +20,7 @@ from hermspec import (
     scaled_set,
     unit_ball_volume,
 )
+from hermspec import geometry
 
 
 def test_region_measures():
@@ -252,7 +253,26 @@ def test_besicovitch_memory_stays_off_the_full_grid():
     finally:
         tracemalloc.stop()
     assert len(cov.elements) == 1345
-    assert peak < 64 * 2 ** 20
+    # one int16 count per grid point (23.6 MB) and band-sized work arrays
+    assert peak < 32 * 2 ** 20
+
+
+def test_besicovitch_stops_once_a_ball_holds_A(monkeypatch):
+    spec = BallDensitySpec(gamma=0.5, alpha=0.0, eps=0.2, R=8.0, profile="power")
+    shells = []
+    lattice_shell = geometry._lattice_shell
+
+    def counting(*args):
+        shells.append(args[2:])
+        return lattice_shell(*args)
+
+    monkeypatch.setattr(geometry, "_lattice_shell", counting)
+    cov = besicovitch_covering(spec, 2, 1, K=16)
+    balls, kappa_measured = _greedy_reference(spec, 2, 1)
+    assert [(r.center, r.radius) for r in cov.elements] == balls
+    assert cov.meta["kappa_measured"] == kappa_measured == 1
+    # the first ball holds all of A, so the walk ends in the outermost shell
+    assert len(balls) == 1 and len(shells) == 1
 
 
 def test_ball_density_spec_profiles():

@@ -18,7 +18,7 @@ from hermspec import (
     norm2_over_set,
     scaling_identity_check,
 )
-from hermspec.gram import MAX_NODES, region_quadrature
+from hermspec.gram import MAX_NODES, _hermgauss, _leggauss, region_quadrature
 from hermspec.rng import SplitMix64
 
 
@@ -227,3 +227,15 @@ def test_quadrature_rule_validation():
     QuadratureRule(nodes=MAX_NODES)
     with pytest.raises(InputError):
         QuadratureRule(tol=-1.0)
+
+
+def test_cached_gauss_rules_are_read_only():
+    for rule in (_leggauss(100), _hermgauss(7)):
+        for a in rule:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+            with pytest.raises(ValueError):
+                a *= 2.0
+    x, w = _leggauss(100)
+    assert np.array_equal(x, np.polynomial.legendre.leggauss(100)[0])
+    assert w.sum() == pytest.approx(2.0, rel=1e-14)

@@ -27,7 +27,12 @@ from hermspec import (
     spectral_report,
 )
 from hermspec.bounds import bernstein_CB_log, delta_choice
+from hermspec.geometry import BallDensitySpec, besicovitch_covering
+from hermspec.gram import QuadratureRule
 from hermspec.rng import SplitMix64
+from hermspec import spectral
+from hermspec.spectral import CellContext
+from reference_loops import LoopCellContext
 
 
 def test_jacobi_against_numpy_eigh():
@@ -172,6 +177,39 @@ def test_classify_cells_lattice():
     check = mass_intersection_check(f, cls)
     assert check.ratio >= 0.25 - 1e-8
     assert not check.degenerate
+
+
+@pytest.mark.parametrize("block_rows", [2 ** 13, 100, 1])
+@pytest.mark.parametrize("kind", ["lattice", "besicovitch"])
+def test_cell_norms2_matches_the_per_cell_loop_bitwise(kind, block_rows, monkeypatch):
+    monkeypatch.setattr(spectral, "CELL_BLOCK_ROWS", block_rows)
+    d, N, m_max = 1, 6, 4
+    if kind == "lattice":
+        cov = lattice_covering(1.0, d, N, kappa=1)
+    else:
+        spec = BallDensitySpec(gamma=0.5, alpha=0.0, eps=0.5, R=1.0, profile="power")
+        cov = besicovitch_covering(spec, d, N, K=16)
+    rule = QuadratureRule(nodes=24)
+    ctx = CellContext(cov, d, N + m_max, rule)
+    ref = LoopCellContext(cov, d, N + m_max, rule)
+    sizes = [w.size for w, _ in ref.cells]
+    if kind == "besicovitch":
+        assert len(set(sizes)) > 1  # balls of several point counts
+    # each cell keeps its own weights and table, as views into its block
+    assert [w.size for w, _ in ctx.cells] == sizes
+    for (w, t), (w_ref, t_ref) in zip(ctx.cells, ref.cells):
+        assert w.tobytes() == w_ref.tobytes() and t.tobytes() == t_ref.tobytes()
+        assert w.base is not None and t.base is not None
+    rng = SplitMix64(53)
+    basis = BasisIndexSet(d, N)
+    for _ in range(5):
+        f = HermiteVector(basis, rng.unit_coeffs(basis.size))
+        columns, _ = derivative_columns(f, m_max)
+        assert ctx.cell_norms2(columns).tobytes() == ref.cell_norms2(columns).tobytes()
+        got = classify_cells(f, cov, m_max=m_max, ctx=ctx)
+        want = classify_cells(f, cov, m_max=m_max, ctx=ref)
+        assert got.local_mass.tobytes() == want.local_mass.tobytes()
+        assert np.array_equal(got.first_bad_m, want.first_bad_m)
 
 
 def test_classify_zero_function_degenerate():
