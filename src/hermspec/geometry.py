@@ -84,8 +84,8 @@ class Region:
         """Image under x -> factor * x (dilation about the origin)."""
         center = tuple(factor * c for c in self.center)
         if self.kind == "box":
-            return Region("box", center, half_sides=tuple(factor * h for h in self.half_sides))
-        return Region("ball", center, radius=factor * self.radius)
+            return Region.box(center, tuple(factor * h for h in self.half_sides))
+        return Region.ball(center, factor * self.radius)
 
     def to_line(self):
         parts = [self.kind] + [repr(c) for c in self.center]
@@ -123,22 +123,34 @@ def _finite_center(center):
     return center
 
 
-def _interiors_disjoint(a, b):
-    """True if the interiors of the two regions can be certified disjoint.
+def _first_overlap(regions):
+    """First pair (i, j), i < j, whose interiors cannot be certified disjoint, or None.
 
-    Box/box and ball/ball are exact; box/ball uses the exact distance from the
-    box to the ball center.
+    Region i is tested against regions i+1.. at once.  Box/box and ball/ball
+    are exact; box/ball uses the exact distance from the box to the ball
+    center.  Distances are sqrt(vecdot), which rounds as a 1-D norm does.
     """
-    ca, cb = np.asarray(a.center), np.asarray(b.center)
-    if a.kind == "box" and b.kind == "box":
-        gap = np.abs(ca - cb) - (np.asarray(a.half_sides) + np.asarray(b.half_sides))
-        return bool(np.any(gap >= -1e-12))
-    if a.kind == "ball" and b.kind == "ball":
-        return float(np.linalg.norm(ca - cb)) >= a.radius + b.radius - 1e-12
-    box, ball = (a, b) if a.kind == "box" else (b, a)
-    delta = np.maximum(np.abs(np.asarray(ball.center) - np.asarray(box.center))
-                       - np.asarray(box.half_sides), 0.0)
-    return float(np.linalg.norm(delta)) >= ball.radius - 1e-12
+    d = regions[0].dimension
+    c = np.array([r.center for r in regions])
+    box = np.array([r.kind == "box" for r in regions])
+    h = np.array([r.half_sides if r.kind == "box" else (0.0,) * d for r in regions])
+    rad = np.array([0.0 if r.kind == "box" else r.radius for r in regions])
+    for i in range(len(regions) - 1):
+        rest = slice(i + 1, None)
+        diff = c[i] - c[rest]
+        if box[i]:
+            boxes = np.any(np.abs(diff) - (h[i] + h[rest]) >= -1e-12, axis=1)
+            delta = np.maximum(np.abs(diff) - h[i], 0.0)
+            mixed = np.sqrt(np.vecdot(delta, delta)) >= rad[rest] - 1e-12
+            ok = np.where(box[rest], boxes, mixed)
+        else:
+            balls = np.sqrt(np.vecdot(diff, diff)) >= rad[i] + rad[rest] - 1e-12
+            delta = np.maximum(np.abs(diff) - h[rest], 0.0)
+            mixed = np.sqrt(np.vecdot(delta, delta)) >= rad[i] - 1e-12
+            ok = np.where(box[rest], mixed, balls)
+        if not ok.all():
+            return i, i + 1 + int(np.argmin(ok))
+    return None
 
 
 @dataclass(frozen=True)
@@ -156,10 +168,9 @@ class SensorSet:
         for r in regions:
             if r.dimension != d:
                 raise InputError("regions of mixed dimension")
-        for i in range(len(regions)):
-            for j in range(i + 1, len(regions)):
-                if not _interiors_disjoint(regions[i], regions[j]):
-                    raise InputError(f"regions {i} and {j} have overlapping interiors")
+        pair = _first_overlap(regions)
+        if pair is not None:
+            raise InputError("regions %d and %d have overlapping interiors" % pair)
 
     @property
     def dimension(self):
@@ -684,6 +695,6 @@ def _mark_ball(overlap, center, radius, h, n):
 
 def scaled_set(S, t):
     """Dilation x -> t^(1/4) x of every region about the origin."""
-    if t <= 0:
-        raise InputError("t must be positive")
+    if not 0 < t < math.inf:
+        raise InputError("t must be positive and finite")
     return S.scaled(t ** 0.25)

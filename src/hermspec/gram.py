@@ -10,9 +10,12 @@ so the integrand is smooth in theta.
 
 Every region yields rows F with F^T F equal to its Gram: sqrt(w) times the
 basis table for a batch of ball slices, and for a box the Hadamard product of
-the per-axis triangles qr(sqrt(w) phi(x)).  Householder QR compresses all rows
-of a set into one n x n upper triangle R_S with G_S = R_S^T R_S, so every Gram
-is PSD by construction and its smallest eigenvalue is sigma_min(R_S)^2.
+the per-axis triangles qr(sqrt(w) phi(x)).  Boxes are batched: per axis, one
+Hermite table and one stacked QR serve a chunk of QR_BLOCK_ROWS // n boxes,
+and the chunk's triangles are folded pairwise into one.  Householder QR
+compresses all rows of a set into one n x n upper triangle R_S with
+G_S = R_S^T R_S, so every Gram is PSD by construction and its smallest
+eigenvalue is sigma_min(R_S)^2.
 Full-space weighted Grams use scaled Gauss-Hermite nodes with the Gaussian
 weight absorbed analytically, which is exact for the polynomial factors.
 """
@@ -61,13 +64,22 @@ def _hermgauss(n):
     return _frozen(np.polynomial.hermite.hermgauss(n))
 
 
+def _panel_rule(a, b, panels, nodes):
+    """Gauss-Legendre nodes and weights on [a, b] cut into equal panels.
+
+    a and b may be arrays of k intervals; the rule then has shape (k, panels * nodes).
+    """
+    x, w = _leggauss(nodes)
+    edges = np.linspace(a, b, panels + 1).T  # axis=-1 would cost a moveaxis per chord
+    half = ((edges[..., 1:] - edges[..., :-1]) / 2.0)[..., None]
+    mid = ((edges[..., 1:] + edges[..., :-1]) / 2.0)[..., None]
+    shape = np.shape(a) + (-1,)
+    return (half * x + mid).reshape(shape), (half * w).reshape(shape)
+
+
 def axis_quadrature(a, b, nodes):
     """Gauss-Legendre nodes and weights on [a, b], cut into equal panels of at most PANEL_MAX."""
-    x, w = _leggauss(nodes)
-    edges = np.linspace(a, b, max(1, math.ceil((b - a) / PANEL_MAX)) + 1)
-    half = ((edges[1:] - edges[:-1]) / 2.0)[:, None]
-    mid = ((edges[1:] + edges[:-1]) / 2.0)[:, None]
-    return (half * x + mid).ravel(), (half * w).ravel()
+    return _panel_rule(a, b, max(1, math.ceil((b - a) / PANEL_MAX)), nodes)
 
 
 def _ball_points(center, r, nodes):
@@ -174,32 +186,82 @@ def _square(R):
     return np.vstack([R, np.zeros((R.shape[1] - R.shape[0], R.shape[1]))])
 
 
-def _region_rows(basis, region, nodes):
-    """Row blocks F of a region whose F^T F sum to its Gram."""
-    if region.kind == "ball":
-        # a batch at a time: a 3-D ball at 128^3 points would need a GB table
-        for pts, w in _ball_points(region.center, region.radius, nodes):
-            yield np.sqrt(w)[:, None] * _basis_table(basis, pts)
-        return
-    # a box Gram is the Hadamard product of per-axis moment matrices A_j = R_j^T R_j;
-    # R_j is upper triangular and the basis graded, so the Hadamard product of the
-    # R_j[alpha_j, beta_j] is an n x n upper triangle whose Gram is that product
+def _ball_rows(basis, region, nodes):
+    """Row blocks F of a ball whose F^T F sum to its Gram, a batch of theta slices at a time."""
+    # a batch at a time: a 3-D ball at 128^3 points would need a GB table
+    for pts, w in _ball_points(region.center, region.radius, nodes):
+        yield np.sqrt(w)[:, None] * _basis_table(basis, pts)
+
+
+def _axis_triangles(max_degree, a, b, nodes):
+    """Stacked upper triangles R_i, shape (k, m, m), with R_i^T R_i = int_{a_i}^{b_i} phi phi^T.
+
+    The intervals are grouped by panel count; each group's rows sqrt(w) phi(x)
+    go through one stacked Householder QR, QR_BLOCK_ROWS rows per interval at a
+    time, so a tall multi-panel axis is never held whole.
+    """
+    m = max_degree + 1
+    out = np.zeros((len(a), m, m))
+    panels = np.maximum(1, np.ceil((b - a) / PANEL_MAX)).astype(int)
+    for p in sorted(set(panels.tolist())):  # np.unique: 10 ms and 0.6 MB on first call
+        sel = panels == p
+        pts, w = _panel_rule(a[sel], b[sel], p, nodes)
+        sw = np.sqrt(w)
+        R = np.empty((len(pts), 0, m))
+        for i in range(0, pts.shape[1], QR_BLOCK_ROWS):
+            rows = sw[:, i:i + QR_BLOCK_ROWS, None] * eval_phi_table(
+                max_degree, pts[:, i:i + QR_BLOCK_ROWS])
+            R = np.linalg.qr(np.concatenate([R, rows], axis=1), mode="r")
+        out[sel, :R.shape[1]] = R  # fewer rows than m leave a trapezoid
+    return out
+
+
+def _fold(F):
+    """Upper triangle T with T^T T = sum_i F_i^T F_i over a stack F of (k, n, n) triangles.
+
+    Pairs are merged by one stacked QR per level, so every QR stays 2n x n:
+    OpenBLAS runs taller ones on several threads, which on two cores made
+    one QR over all of a chunk's rows slower per box than box-by-box QRs.
+    """
+    n = F.shape[-1]
+    while len(F) > 1:
+        even = len(F) - len(F) % 2
+        F = np.concatenate([np.linalg.qr(F[:even].reshape(-1, 2 * n, n), mode="r"), F[even:]])
+    return F[0]
+
+
+def _box_rows(basis, boxes, nodes):
+    """Row blocks F of a list of boxes whose F^T F sum to their Gram.
+
+    A box Gram is the Hadamard product of per-axis moment matrices A_j = R_j^T R_j;
+    R_j is upper triangular and the basis graded, so the Hadamard product of the
+    R_j[alpha_j, beta_j] is an n x n upper triangle whose Gram is that product.
+    The triangles of QR_BLOCK_ROWS // n boxes at a time are built together and
+    folded into one.
+    """
+    n, m = basis.size, basis.max_degree + 1
     alph = _alpha_matrix(basis)
-    F = np.ones((basis.size, basis.size))
-    for j, (c, h) in enumerate(zip(region.center, region.half_sides)):
-        x, w = axis_quadrature(c - h, c + h, nodes)
-        P = np.sqrt(w)[:, None] * eval_phi_table(basis.max_degree, x)
-        idx = alph[:, j]
-        F *= _square(_triangle(np.empty((0, P.shape[1])), P))[np.ix_(idx, idx)]
-    yield F
+    flat = [(alph[:, j, None] * m + alph[:, j]).ravel() for j in range(basis.dimension)]
+    step = max(1, QR_BLOCK_ROWS // n)
+    for s in range(0, len(boxes), step):
+        c = np.array([box.center for box in boxes[s:s + step]])
+        h = np.array([box.half_sides for box in boxes[s:s + step]])
+        F = np.ones((len(c), n * n))
+        for j in range(basis.dimension):
+            R = _axis_triangles(basis.max_degree, c[:, j] - h[:, j], c[:, j] + h[:, j], nodes)
+            F *= R.reshape(len(c), m * m)[:, flat[j]]
+        yield _fold(F.reshape(len(c), n, n))
 
 
 def _set_factor(basis, S, nodes):
     """n x n upper triangle R_S with R_S^T R_S the Gram of S at this node count."""
     R = np.empty((0, basis.size))
+    for F in _box_rows(basis, [r for r in S.regions if r.kind == "box"], nodes):
+        R = _triangle(R, F)
     for region in S.regions:
-        for F in _region_rows(basis, region, nodes):
-            R = _triangle(R, F)
+        if region.kind == "ball":
+            for F in _ball_rows(basis, region, nodes):
+                R = _triangle(R, F)
     return _square(R)
 
 
@@ -261,8 +323,8 @@ def norm2_over_set(f, S, rule=DEFAULT_RULE):
 
 def scaling_identity_check(f, S, t, rule=DEFAULT_RULE):
     """Both sides of ||f||_(L2(S))^2 = integral over t^(1/4) S of t^(-d/4) f(t^(-1/4) x)^2 dx."""
-    if t <= 0:
-        raise InputError("t must be positive")
+    if not 0 < t < math.inf:
+        raise InputError("t must be positive and finite")
     d = f.basis.dimension
     G = gram_over_set(f.basis, S, rule)
     lhs = G.quadratic_form(f.coeffs)

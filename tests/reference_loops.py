@@ -1,8 +1,10 @@
-"""Per-coefficient and per-cell loops that the array code in hermspec must match bit for bit.
+"""Loop forms of the array code in hermspec, for the tests to compare against.
 
-They are the straightforward forms of the ladder identity, of the embedding
-into a larger basis and of the local cell norms; the tests compare the
-library's results with them by their bytes.
+The ladder identity, the embedding into a larger basis and the local cell
+norms must match their loops bit for bit.  The set factor built box by box and
+the pairwise disjointness test are the forms the batched Gram and the array
+overlap check replaced; the tests hold those to stated tolerances and to the
+same accept/reject decisions.
 """
 
 import math
@@ -10,7 +12,9 @@ import math
 import numpy as np
 
 from hermspec.basis import BasisIndexSet, HermiteVector
-from hermspec.gram import DEFAULT_RULE, _basis_table, region_quadrature
+from hermspec.basis import eval_phi_table
+from hermspec.gram import (DEFAULT_RULE, _alpha_matrix, _ball_rows, _basis_table, _square,
+                           _triangle, axis_quadrature, region_quadrature)
 
 
 def _positions(basis):
@@ -62,3 +66,53 @@ class LoopCellContext:
             vals = table @ columns
             out[k] = wts @ (vals * vals)
         return out
+
+
+def box_triangle_loop(basis, region, nodes):
+    """n x n upper triangle of one box: the Hadamard product of its axis triangles."""
+    alph = _alpha_matrix(basis)
+    F = np.ones((basis.size, basis.size))
+    for j, (c, h) in enumerate(zip(region.center, region.half_sides)):
+        x, w = axis_quadrature(c - h, c + h, nodes)
+        P = np.sqrt(w)[:, None] * eval_phi_table(basis.max_degree, x)
+        idx = alph[:, j]
+        F *= _square(_triangle(np.empty((0, P.shape[1])), P))[np.ix_(idx, idx)]
+    return F
+
+
+def set_factor_loop(basis, S, nodes):
+    """R_S folded one region at a time, in the set's order, one QR per box."""
+    R = np.empty((0, basis.size))
+    for region in S.regions:
+        blocks = ([box_triangle_loop(basis, region, nodes)] if region.kind == "box"
+                  else _ball_rows(basis, region, nodes))
+        for F in blocks:
+            R = _triangle(R, F)
+    return _square(R)
+
+
+def interiors_disjoint(a, b):
+    """True if the interiors of the two regions can be certified disjoint.
+
+    Box/box and ball/ball are exact; box/ball uses the exact distance from the
+    box to the ball center.
+    """
+    ca, cb = np.asarray(a.center), np.asarray(b.center)
+    if a.kind == "box" and b.kind == "box":
+        gap = np.abs(ca - cb) - (np.asarray(a.half_sides) + np.asarray(b.half_sides))
+        return bool(np.any(gap >= -1e-12))
+    if a.kind == "ball" and b.kind == "ball":
+        return float(np.linalg.norm(ca - cb)) >= a.radius + b.radius - 1e-12
+    box, ball = (a, b) if a.kind == "box" else (b, a)
+    delta = np.maximum(np.abs(np.asarray(ball.center) - np.asarray(box.center))
+                       - np.asarray(box.half_sides), 0.0)
+    return float(np.linalg.norm(delta)) >= ball.radius - 1e-12
+
+
+def first_overlap_loop(regions):
+    """First pair (i, j), i < j, that interiors_disjoint cannot certify, or None."""
+    for i in range(len(regions)):
+        for j in range(i + 1, len(regions)):
+            if not interiors_disjoint(regions[i], regions[j]):
+                return i, j
+    return None

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermspec import (
     BallDensitySpec,
@@ -21,6 +22,7 @@ from hermspec import (
     unit_ball_volume,
 )
 from hermspec import geometry
+from reference_loops import first_overlap_loop
 
 
 def test_region_measures():
@@ -84,6 +86,26 @@ def test_sensor_set_serialization_round_trip():
     ))
     T = SensorSet.from_text(S.to_text())
     assert T == S  # repr round-trip must be bit exact
+
+
+def test_scaled_set_rejects_nan():
+    S = SensorSet((Region.interval(0, 1),))
+    with pytest.raises(InputError, match="finite"):
+        scaled_set(S, math.nan)
+
+
+def test_scaled_set_rejects_inf():
+    S = SensorSet((Region.interval(0, 1), Region.ball((10.0,), 2.0)))
+    with pytest.raises(InputError, match="finite"):
+        scaled_set(S, math.inf)
+
+
+def test_scaling_by_a_negative_factor_is_rejected():
+    S = SensorSet((Region.interval(0, 1),))
+    with pytest.raises(InputError, match="half-sides must be positive"):
+        S.scaled(-2.0)
+    with pytest.raises(InputError, match="radius must be positive"):
+        Region.ball((1.0, 2.0), 0.5).scaled(-2.0)
 
 
 def test_scaled_set_measure():
@@ -288,3 +310,49 @@ def test_spec_validation():
         CubeDensitySpec(gamma=1.5, beta=0.0, rho=1.0, d=1)
     with pytest.raises(InputError):
         BallDensitySpec(gamma=0.5, alpha=0.0, eps=0.0, R=1.0)
+
+
+_GAPS = st.sampled_from([0.0, 1e-12, -1e-12, 0.25, -0.25])
+_EIGHTHS = st.integers(min_value=1, max_value=16).map(lambda k: k / 8.0)
+
+
+@st.composite
+def _region_lists(draw):
+    """Boxes and balls, many placed against an earlier region at a gap of 0, +-1e-12, ...
+
+    The first region often sits at the origin, so that a region placed against
+    it along an axis ties with the 1e-12 tolerance exactly.
+    """
+    d = draw(st.integers(min_value=1, max_value=3))
+    regions = []
+    for _ in range(draw(st.integers(min_value=1, max_value=7))):
+        kind = draw(st.sampled_from(["box", "ball"]))
+        size = tuple(draw(_EIGHTHS) for _ in range(d)) if kind == "box" else draw(_EIGHTHS)
+        if regions and draw(st.booleans()):
+            anchor = draw(st.sampled_from(regions))
+            direction = np.array([draw(st.integers(min_value=-2, max_value=2)) for _ in range(d)],
+                                 dtype=float)
+            if not direction.any():
+                direction[0] = 1.0
+            direction /= np.linalg.norm(direction)
+            axis = int(np.argmax(np.abs(direction)))
+            reach = (anchor.radius if anchor.kind == "ball" else anchor.half_sides[axis]) + (
+                size if kind == "ball" else size[axis])
+            center = np.asarray(anchor.center) + (reach + draw(_GAPS)) * direction
+        elif not regions and draw(st.booleans()):
+            center = [0.0] * d
+        else:
+            center = [draw(st.integers(min_value=-24, max_value=24)) / 8.0 for _ in range(d)]
+        regions.append(Region.box(center, size) if kind == "box" else Region.ball(center, size))
+    return tuple(regions)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(regions=_region_lists())
+def test_array_overlap_check_decides_as_the_pairwise_loop(regions):
+    pair = first_overlap_loop(regions)
+    if pair is None:
+        assert SensorSet(regions).regions == regions
+    else:
+        with pytest.raises(InputError, match=r"^regions %d and %d have overlapping" % pair):
+            SensorSet(regions)

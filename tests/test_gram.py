@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from hermspec import (
     BasisIndexSet,
+    CubeDensitySpec,
     GramMatrix,
     HermiteVector,
     InputError,
@@ -13,13 +15,18 @@ from hermspec import (
     Region,
     SensorSet,
     eval_phi,
+    example_finite_measure_set,
     gram_fullspace_weighted,
     gram_over_set,
     norm2_over_set,
     scaling_identity_check,
+    spectral_constant,
 )
-from hermspec.gram import MAX_NODES, _hermgauss, _leggauss, region_quadrature
+from hermspec.geometry import halfline_window
+from hermspec.gram import (MAX_NODES, PANEL_MAX, QR_BLOCK_ROWS, _hermgauss, _leggauss,
+                           _set_factor, region_quadrature)
 from hermspec.rng import SplitMix64
+from reference_loops import set_factor_loop
 
 
 def gram_entry_oracle(a, b, lo, hi):
@@ -219,6 +226,15 @@ def test_scaling_identity():
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
+def test_scaling_identity_rejects_non_finite_t():
+    basis = BasisIndexSet(1, 2)
+    f = HermiteVector(basis, np.ones(basis.size))
+    S = SensorSet((Region.interval(-0.5, 1.5),))
+    for t in (math.nan, math.inf, 0.0):
+        with pytest.raises(InputError):
+            scaling_identity_check(f, S, t)
+
+
 def test_quadrature_rule_validation():
     with pytest.raises(InputError):
         QuadratureRule(nodes=0)
@@ -239,3 +255,69 @@ def test_cached_gauss_rules_are_read_only():
     x, w = _leggauss(100)
     assert np.array_equal(x, np.polynomial.legendre.leggauss(100)[0])
     assert w.sum() == pytest.approx(2.0, rel=1e-14)
+
+
+def _lattice_169():
+    """The d = 2 finite-measure set with |k|_inf <= 6: 169 shrunken unit cubes."""
+    S, _ = example_finite_measure_set(CubeDensitySpec(0.6, 0.5, 1.0, 2), 6.5)
+    return S
+
+
+FACTOR_CASES = {
+    "d1_intervals": lambda: (BasisIndexSet(1, 12), SensorSet((
+        Region.interval(-3.0, -0.5), Region.interval(0.2, 1.1), Region.interval(1.5, 4.0)))),
+    "d2_boxes": lambda: (BasisIndexSet(2, 8), SensorSet((
+        Region.box((-1.0, 0.2), (0.8, 1.5)), Region.box((1.2, -0.3), (0.4, 2.0))))),
+    "d3_boxes": lambda: (BasisIndexSet(3, 5), SensorSet((
+        Region.box((0.0, 0.0, 0.0), (1.0, 1.5, 0.7)), Region.box((2.0, 0.5, 0.0), (0.5, 0.5, 2.0)),
+        Region.box((-2.1, 0.0, 0.3), (0.9, 1.2, 1.8))))),
+    "halfline_N19": lambda: (BasisIndexSet(1, 19), halfline_window(19)),
+    "lattice_169_N10": lambda: (BasisIndexSet(2, 10), _lattice_169()),
+    "box_beside_disc": lambda: (BasisIndexSet(2, 4), SensorSet((
+        Region.ball((0.3, -0.2), 0.9), Region.box((1.9, 0.1), (0.7, 0.5))))),
+    "ten_boxes_N10": lambda: (BasisIndexSet(2, 10), SensorSet(tuple(
+        Region.box((-3.6 + 0.8 * i, 0.5), (0.35, 1.5)) for i in range(10)))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FACTOR_CASES))
+def test_batched_box_factor_matches_per_box_loop(case):
+    basis, S = FACTOR_CASES[case]()
+    for nodes in (64, 128):
+        R = _set_factor(basis, S, nodes)
+        R_ref = set_factor_loop(basis, S, nodes)
+        G, G_ref = R.T @ R, R_ref.T @ R_ref
+        assert np.max(np.abs(G - G_ref)) <= 1e-14 * np.max(np.abs(G_ref))
+        lam, _ = spectral_constant(GramMatrix(basis, G, R))
+        lam_ref, _ = spectral_constant(GramMatrix(basis, G_ref, R_ref))
+        assert lam == pytest.approx(lam_ref, rel=1e-12)
+
+
+def test_factor_cases_reach_the_block_edges():
+    # the halfline's axis table is taller than one QR block, and ten boxes of
+    # n = 66 fill one chunk of QR_BLOCK_ROWS // n = 7 boxes and part of another
+    basis, S = FACTOR_CASES["halfline_N19"]()
+    (length,) = S.regions[0].side_lengths()
+    assert math.ceil(length / PANEL_MAX) * 64 > QR_BLOCK_ROWS
+    basis, S = FACTOR_CASES["ten_boxes_N10"]()
+    assert len(S.regions) % (QR_BLOCK_ROWS // basis.size) != 0
+
+
+def _gram_peak(basis, S):
+    gram_over_set(basis, S)  # warm the cached rules and index maps
+    tracemalloc.start()
+    try:
+        gram_over_set(basis, S)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_box_gram_memory_stays_off_whole_tables():
+    # The per-box path peaked at 3.2 MB on the halfline (its whole 9,216-row
+    # axis table at 128 nodes) and at 0.34 MB on the lattice.  Streaming 512
+    # rows at a time keeps the halfline near 0.5 MB; the lattice holds one
+    # chunk of 7 boxes' triangles (about 0.8 MB), where all 169 at once would
+    # hold 5.9 MB.
+    assert _gram_peak(BasisIndexSet(1, 19), halfline_window(19)) < 2 ** 20
+    assert _gram_peak(BasisIndexSet(2, 10), _lattice_169()) < 1.5 * 2 ** 20
