@@ -1,23 +1,18 @@
 """Quadrature engine: Gram matrices of Hermite basis functions over sensor sets.
 
-Boxes are integrated by tensor Gauss-Legendre with per-axis panel splitting
-(long boxes are cut into panels of bounded length so that the fixed node count
-resolves the Gaussian factor).  Balls use the chord rule: the first coordinate
-is x_1 = c_1 + r sin(theta) with Gauss-Legendre nodes in theta, and each node
-carries the (d-1)-ball of radius r cos(theta), down to a paneled interval in
-one dimension; the substitution removes the square-root ends of the chords,
-so the integrand is smooth in theta.
+Boxes are integrated by tensor Gauss-Legendre, each axis cut into panels of at
+most PANEL_MAX so that the fixed node count resolves the Gaussian.  Balls use
+the chord rule: x_1 = c_1 + r sin(theta) at Gauss-Legendre nodes in theta leaves
+the (d-1)-ball of radius r cos(theta), down to nodes^(d-1) chords along x_d; the
+substitution removes the square-root ends, so the integrand is smooth in theta.
 
-Every region yields rows F with F^T F equal to its Gram: sqrt(w) times the
-basis table for a batch of ball slices, and for a box the Hadamard product of
-the per-axis triangles qr(sqrt(w) phi(x)).  Boxes are batched: per axis, one
-Hermite table and one stacked QR serve a chunk of QR_BLOCK_ROWS // n boxes,
-and the chunk's triangles are folded pairwise into one.  Householder QR
-compresses all rows of a set into one n x n upper triangle R_S with
-G_S = R_S^T R_S, so every Gram is PSD by construction and its smallest
-eigenvalue is sigma_min(R_S)^2.
-Full-space weighted Grams use scaled Gauss-Hermite nodes with the Gaussian
-weight absorbed analytically, which is exact for the polynomial factors.
+Every region yields rows F with F^T F equal to its Gram.  A box gives the n x n
+Hadamard product of its per-axis triangles qr(sqrt(w) phi(x)), QR_BLOCK_ROWS // n
+boxes at a time folded pairwise.  A chord gives N + 1 rows: its weight and basis
+values in x' times its interval's axis triangle (a 3-D ball at N = 4: 0.7 s, not
+5.6 s as a row per rule point).  Householder QR compresses a set's rows into one
+triangle R_S, G_S = R_S^T R_S, so each Gram is PSD and lam_min = sigma_min(R_S)^2.
+Full-space weighted Grams use scaled Gauss-Hermite nodes, exact for polynomials.
 """
 
 import math
@@ -37,6 +32,10 @@ MAX_NODES = 2048
 PANEL_MAX = 4.0
 # Rows per Householder QR update; larger blocks raise peak memory.
 QR_BLOCK_ROWS = 512
+# Rule points behind one chunk of ball chords; larger chunks raise peak memory.
+CHORD_POINTS = 2048
+# Caps on the panels of an axis rule (the half-line window has 74) and region_quadrature points.
+MAX_PANELS, MAX_RULE_POINTS = 1024, 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -65,10 +64,7 @@ def _hermgauss(n):
 
 
 def _panel_rule(a, b, panels, nodes):
-    """Gauss-Legendre nodes and weights on [a, b] cut into equal panels.
-
-    a and b may be arrays of k intervals; the rule then has shape (k, panels * nodes).
-    """
+    """Gauss-Legendre rule on [a, b] in equal panels; k intervals give shape (k, panels * nodes)."""
     x, w = _leggauss(nodes)
     edges = np.linspace(a, b, panels + 1).T  # axis=-1 would cost a moveaxis per chord
     half = ((edges[..., 1:] - edges[..., :-1]) / 2.0)[..., None]
@@ -82,46 +78,52 @@ def axis_quadrature(a, b, nodes):
     return _panel_rule(a, b, max(1, math.ceil((b - a) / PANEL_MAX)), nodes)
 
 
-def _ball_points(center, r, nodes):
-    """Chord-rule points (n, d) and weights on the ball |x - center| <= r.
+def _ball_chords(center, r, nodes):
+    """The nodes^(d-1) chords of the chord rule on |x - center| <= r: x', factors, a, b.
 
-    Yields (points, weights) batches of whole theta slices, each batch but the
-    last at least QR_BLOCK_ROWS points, so a caller can accumulate over them
-    without holding the whole point set.  For d >= 2 the slice at a
-    Gauss-Legendre node theta is the (d-1)-ball of radius r cos(theta) about
-    center[1:], lifted to x_1 = c_1 + r sin(theta), with its weights scaled by
-    (pi/2) w r cos(theta).  For d = 1 the single slice is the paneled interval
-    rule of axis_quadrature.
+    Level j sets x_j = c_j + rho sin(theta) at theta = (pi/2) t for Gauss-Legendre
+    nodes t, leaving radius rho cos(theta) and a weight factor (pi/2) w rho cos(theta);
+    a chord's d-1 factors (outermost first) multiply to its weight.  A 1-D ball is one chord.
     """
-    if len(center) == 1:
-        x, w = axis_quadrature(center[0] - r, center[0] + r, nodes)
-        yield x[:, None], w
-        return
-    t, wt = _leggauss(nodes)
-    batch = []
-    for tk, wk in zip(t, wt):
-        theta = 0.5 * math.pi * tk
-        rho = r * math.cos(theta)
-        p, q = _joined(_ball_points(center[1:], rho, nodes))
-        x1 = np.full((p.shape[0], 1), center[0] + r * math.sin(theta))
-        batch.append((np.hstack([x1, p]), (0.5 * math.pi * wk * rho) * q))
-        if sum(len(w) for _, w in batch) >= QR_BLOCK_ROWS:
-            yield _joined(batch)
-            batch = []
-    if batch:
-        yield _joined(batch)
+    t, w = _leggauss(nodes)
+    theta, w = 0.5 * math.pi * t, 0.5 * math.pi * w  # math.sin, as the recursion: same bits
+    sin, cos = (np.array([fn(v) for v in theta]) for fn in (math.sin, math.cos))
+    rho, x, f = np.array([float(r)]), np.empty((1, 0)), np.empty((1, 0))
+    for c in center[:-1]:
+        x = np.column_stack([np.repeat(x, nodes, axis=0), (c + np.outer(rho, sin)).ravel()])
+        rho = np.outer(rho, cos).ravel()
+        f = np.column_stack([np.repeat(f, nodes, axis=0), np.tile(w, len(f)) * rho])
+    return x, f, center[-1] - rho, center[-1] + rho
 
 
-def _joined(slices):
-    """Concatenate (points, weights) slices into one point set."""
-    slices = list(slices)
-    return np.concatenate([p for p, _ in slices]), np.concatenate([w for _, w in slices])
+def _check_size(region, nodes, max_points=math.inf):
+    """Raise InputError naming the region if its rule passes MAX_PANELS on an axis or max_points."""
+    sides = region.side_lengths()  # a ball has nodes^(d-1) chords, none longer than its diameter
+    panels = [max(1, math.ceil(min(s, PANEL_MAX * (MAX_PANELS + 1)) / PANEL_MAX)) for s in sides]
+    points = nodes ** len(sides) * (panels[0] if region.kind == "ball" else math.prod(panels))
+    if max(panels) > MAX_PANELS or points > max_points:
+        cap = f"{max_points} points" if points > max_points else f"{MAX_PANELS} panels per axis"
+        raise InputError(f"{region.kind} {region.center} {region.radius or region.half_sides}: "
+                         f"its quadrature rule at {nodes} nodes passes the cap of {cap}")
 
 
 def region_quadrature(region, rule=DEFAULT_RULE):
     """Full point/weight set for integrating a generic integrand over a region."""
+    _check_size(region, rule.nodes, MAX_RULE_POINTS)
+    if region.dimension == 1:  # an interval, be it a box or a ball
+        (c,), (h,) = region.center, region.bounding_halfwidths()
+        x, w = axis_quadrature(c - h, c + h, rule.nodes)
+        return x[:, None], w
     if region.kind == "ball":
-        return _joined(_ball_points(region.center, region.radius, rule.nodes))
+        x, f, a, b = _ball_chords(region.center, region.radius, rule.nodes)
+        pts, wts = [], []
+        for xk, fk, ak, bk in zip(x, f, a, b):
+            t, w = axis_quadrature(ak, bk, rule.nodes)
+            for fj in fk[::-1]:  # innermost level first, as the recursive rule did
+                w = fj * w
+            pts.append(np.column_stack([np.tile(xk, (len(t), 1)), t]))
+            wts.append(w)
+        return np.concatenate(pts), np.concatenate(wts)
     x, w = zip(*(axis_quadrature(c - h, c + h, rule.nodes)
                  for c, h in zip(region.center, region.half_sides)))
     p = np.stack([g.ravel() for g in np.meshgrid(*x, indexing="ij")], axis=1)
@@ -130,29 +132,23 @@ def region_quadrature(region, rule=DEFAULT_RULE):
 
 @dataclass
 class GramMatrix:
-    """Symmetric PSD matrix of pairwise L^2(S) inner products of basis functions.
-
-    factor, when known, is an upper triangle R with entries = R^T R.
-    """
+    """Symmetric PSD matrix of L^2(S) inner products of basis functions; factor: R^T R = entries."""
 
     basis: BasisIndexSet
     entries: np.ndarray
     factor: np.ndarray = None
 
     def quadratic_form(self, coeffs):
-        coeffs = np.asarray(coeffs)
-        return float(coeffs @ self.entries @ coeffs)
+        return float(np.asarray(coeffs) @ self.entries @ np.asarray(coeffs))
 
     def symmetry_defect(self):
         return float(np.max(np.abs(self.entries - self.entries.T)))
 
     def to_csv(self):
         """CSV with a header row of flat indices; 17 significant digits."""
-        n = self.basis.size
-        lines = [",".join(str(i) for i in range(n))]
-        for row in self.entries:
-            lines.append(",".join(format(v, ".17g") for v in row))
-        return "\n".join(lines) + "\n"
+        rows = [map(str, range(self.basis.size))]
+        rows += [(format(v, ".17g") for v in row) for row in self.entries]
+        return "".join(",".join(row) + "\n" for row in rows)
 
     @staticmethod
     def from_csv(text, basis):
@@ -166,10 +162,10 @@ def _alpha_matrix(basis):
 
 
 def _basis_table(basis, points):
-    """Matrix of Phi_alpha(x_i) values at (npoints, d) points, shape (npoints, basis.size)."""
+    """Table (npoints, basis.size) of prod_j phi_(alpha_j)(x_ij) over the k <= d columns of x."""
     alph = _alpha_matrix(basis)
     out = np.ones((points.shape[0], basis.size))
-    for j in range(basis.dimension):
+    for j in range(points.shape[1]):
         out *= eval_phi_table(basis.max_degree, points[:, j])[:, alph[:, j]]
     return out
 
@@ -187,10 +183,20 @@ def _square(R):
 
 
 def _ball_rows(basis, region, nodes):
-    """Row blocks F of a ball whose F^T F sum to its Gram, a batch of theta slices at a time."""
-    # a batch at a time: a 3-D ball at 128^3 points would need a GB table
-    for pts, w in _ball_points(region.center, region.radius, nodes):
-        yield np.sqrt(w)[:, None] * _basis_table(basis, pts)
+    """Row blocks F of a ball whose F^T F sum to its Gram, N + 1 rows per chord.
+
+    Chord k adds W_k phi(x'_k) phi(x'_k)^T o R_k^T R_k to the Gram, with R_k
+    the axis triangle of its last coordinate on [a_k, b_k]; its rows are
+    sqrt(W_k) prod_{j<d} phi_{alpha_j}(x'_kj) R_k[:, alpha_d].  Chunks of
+    chords behind about CHORD_POINTS rule points are built at a time.
+    """
+    x, f, a, b = _ball_chords(region.center, region.radius, nodes)
+    ends = np.cumsum(np.maximum(1, np.ceil((b - a) / PANEL_MAX))) * nodes
+    cuts = [0, *(np.flatnonzero(np.diff((ends - 1) // CHORD_POINTS)) + 1), len(a)]
+    for s, e in zip(cuts[:-1], cuts[1:]):
+        u = np.sqrt(np.prod(f[s:e], axis=1))[:, None] * _basis_table(basis, x[s:e])
+        R = _axis_triangles(basis.max_degree, a[s:e], b[s:e], nodes)
+        yield (u[:, None, :] * R[:, :, _alpha_matrix(basis)[:, -1]]).reshape(-1, basis.size)
 
 
 def _axis_triangles(max_degree, a, b, nodes):
@@ -267,6 +273,8 @@ def _set_factor(basis, S, nodes):
 
 def gram_over_set(basis, S, rule=DEFAULT_RULE):
     """Gram matrix over a sensor set and its factor, refined by node doubling up to MAX_NODES."""
+    if S.regions:  # the panel cap binds first on the longest side
+        _check_size(max(S.regions, key=lambda r: max(r.bounding_halfwidths())), rule.nodes)
     nodes = rule.nodes
     R = _set_factor(basis, S, nodes)
     prev = cur = R.T @ R
@@ -278,18 +286,15 @@ def gram_over_set(basis, S, rule=DEFAULT_RULE):
         if np.max(np.abs(cur - prev)) <= rule.tol * scale:
             return GramMatrix(basis, 0.5 * (cur + cur.T), R)  # symmetrize roundoff
         prev = cur
-    raise QuadratureError(
-        f"no convergence at {nodes} nodes (doubling stops at {MAX_NODES})",
-        previous=prev, current=cur
-    )
+    raise QuadratureError(f"no convergence at {nodes} nodes (doubling stops at {MAX_NODES})",
+                          previous=prev, current=cur)
 
 
 def _weighted_axis_matrix(max_degree, w):
     """One-dimensional matrix of integrals of exp(2 w t^2) phi_a(t) phi_b(t) dt.
 
-    Substituting u = sqrt(1 - 2w) t absorbs the effective Gaussian weight; the
-    remaining integrand is the polynomial part of phi_a phi_b, so scaled
-    Gauss-Hermite with max_degree + 2 nodes is exact.
+    u = sqrt(1 - 2w) t absorbs the Gaussian weight, leaving the polynomial part
+    of phi_a phi_b, for which max_degree + 2 Gauss-Hermite nodes are exact.
     """
     s = math.sqrt(1.0 - 2.0 * w)
     u, wu = _hermgauss(max_degree + 2)
@@ -306,33 +311,28 @@ def gram_fullspace_weighted(basis, w):
     alph = _alpha_matrix(basis)
     G = np.ones((basis.size, basis.size))
     for j in range(basis.dimension):
-        idx = alph[:, j]
-        G *= F[np.ix_(idx, idx)]
+        G *= F[np.ix_(alph[:, j], alph[:, j])]
     return GramMatrix(basis, G)
+
+
+def _norm2_over_region(f, region, rule, scale=1.0):
+    """Integral of f(x / scale)^2 over a region by direct quadrature."""
+    pts, wts = region_quadrature(region, rule)
+    vals = f.evaluate(pts / scale)
+    return float(wts @ (vals * vals))
 
 
 def norm2_over_set(f, S, rule=DEFAULT_RULE):
     """Squared L^2(S) norm of a HermiteVector by direct quadrature."""
-    total = 0.0
-    for region in S.regions:
-        pts, wts = region_quadrature(region, rule)
-        vals = f.evaluate(pts)
-        total += float(wts @ (vals * vals))
-    return total
+    return sum((_norm2_over_region(f, region, rule) for region in S.regions), 0.0)
 
 
 def scaling_identity_check(f, S, t, rule=DEFAULT_RULE):
     """Both sides of ||f||_(L2(S))^2 = integral over t^(1/4) S of t^(-d/4) f(t^(-1/4) x)^2 dx."""
     if not 0 < t < math.inf:
         raise InputError("t must be positive and finite")
-    d = f.basis.dimension
-    G = gram_over_set(f.basis, S, rule)
-    lhs = G.quadratic_form(f.coeffs)
-    scale = t ** 0.25
-    rhs = 0.0
-    for region in S.regions:
-        sregion = region.scaled(scale)
-        pts, wts = region_quadrature(sregion, rule)
-        vals = f.evaluate(pts / scale)
-        rhs += float(wts @ (vals * vals)) * t ** (-d / 4.0)
+    lhs = gram_over_set(f.basis, S, rule).quadratic_form(f.coeffs)
+    scale, d = t ** 0.25, f.basis.dimension
+    rhs = sum((_norm2_over_region(f, region.scaled(scale), rule, scale) * t ** (-d / 4.0)
+              for region in S.regions), 0.0)
     return lhs, rhs, abs(lhs - rhs)

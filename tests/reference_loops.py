@@ -1,10 +1,11 @@
 """Loop forms of the array code in hermspec, for the tests to compare against.
 
 The ladder identity, the embedding into a larger basis and the local cell
-norms must match their loops bit for bit.  The set factor built box by box and
-the pairwise disjointness test are the forms the batched Gram and the array
-overlap check replaced; the tests hold those to stated tolerances and to the
-same accept/reject decisions.
+norms must match their loops bit for bit, and so must the chord rule of a ball
+against its recursive point form.  The set factor built box by box and point
+row by point row and the pairwise disjointness test are the forms the batched
+Gram, the chord triangles and the array overlap check replaced; the tests hold
+those to stated tolerances and to the same accept/reject decisions.
 """
 
 import math
@@ -13,8 +14,8 @@ import numpy as np
 
 from hermspec.basis import BasisIndexSet, HermiteVector
 from hermspec.basis import eval_phi_table
-from hermspec.gram import (DEFAULT_RULE, _alpha_matrix, _ball_rows, _basis_table, _square,
-                           _triangle, axis_quadrature, region_quadrature)
+from hermspec.gram import (DEFAULT_RULE, QR_BLOCK_ROWS, _alpha_matrix, _basis_table, _leggauss,
+                           _square, _triangle, axis_quadrature, region_quadrature)
 
 
 def _positions(basis):
@@ -80,12 +81,53 @@ def box_triangle_loop(basis, region, nodes):
     return F
 
 
+def ball_points_loop(center, r, nodes):
+    """Chord-rule points (n, d) and weights on the ball |x - center| <= r, by recursion.
+
+    Yields (points, weights) batches of whole theta slices, each batch but the
+    last at least QR_BLOCK_ROWS points.  For d >= 2 the slice at a
+    Gauss-Legendre node theta is the (d-1)-ball of radius r cos(theta) about
+    center[1:], lifted to x_1 = c_1 + r sin(theta), with its weights scaled by
+    (pi/2) w r cos(theta).  For d = 1 the single slice is the paneled interval
+    rule of axis_quadrature.
+    """
+    if len(center) == 1:
+        x, w = axis_quadrature(center[0] - r, center[0] + r, nodes)
+        yield x[:, None], w
+        return
+    t, wt = _leggauss(nodes)
+    batch = []
+    for tk, wk in zip(t, wt):
+        theta = 0.5 * math.pi * tk
+        rho = r * math.cos(theta)
+        p, q = joined(ball_points_loop(center[1:], rho, nodes))
+        x1 = np.full((p.shape[0], 1), center[0] + r * math.sin(theta))
+        batch.append((np.hstack([x1, p]), (0.5 * math.pi * wk * rho) * q))
+        if sum(len(w) for _, w in batch) >= QR_BLOCK_ROWS:
+            yield joined(batch)
+            batch = []
+    if batch:
+        yield joined(batch)
+
+
+def joined(slices):
+    """Concatenate (points, weights) slices into one point set."""
+    slices = list(slices)
+    return np.concatenate([p for p, _ in slices]), np.concatenate([w for _, w in slices])
+
+
+def ball_rows_loop(basis, region, nodes):
+    """Row blocks of a ball, one row sqrt(w) Phi(x) per rule point, a batch of slices at a time."""
+    for pts, w in ball_points_loop(region.center, region.radius, nodes):
+        yield np.sqrt(w)[:, None] * _basis_table(basis, pts)
+
+
 def set_factor_loop(basis, S, nodes):
-    """R_S folded one region at a time, in the set's order, one QR per box."""
+    """R_S folded one region at a time, in set order: one QR per box, a row per ball point."""
     R = np.empty((0, basis.size))
     for region in S.regions:
         blocks = ([box_triangle_loop(basis, region, nodes)] if region.kind == "box"
-                  else _ball_rows(basis, region, nodes))
+                  else ball_rows_loop(basis, region, nodes))
         for F in blocks:
             R = _triangle(R, F)
     return _square(R)

@@ -76,6 +76,21 @@ def test_cli_exit_2_on_bad_region(tmp_path, capsys, regions, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d, region", [
+    (1, "ball 0.0 1e15"), (2, "ball 0 0 1e15"), (1, "box 0.0 1e15"), (2, "box 0 0 1.0 1e15"),
+])
+def test_cli_exit_2_on_region_too_large_to_integrate(tmp_path, capsys, d, region):
+    cfg = write(tmp_path, "huge.cfg", (
+        f"dimension = {d}\n"
+        "degree_max = 2\n"
+        f"region = {region}\n"
+        f"out_dir = {tmp_path / 'out'}\n"
+    ))
+    assert main(["spectral", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {region.split()[0]} (") and "1024 panels per axis" in err
+
+
 def test_cli_exit_1_on_quadrature_failure(tmp_path, capsys):
     # no tolerance below roundoff can be met: every doubling is one more failure
     cfg = write(tmp_path, "q.cfg", (

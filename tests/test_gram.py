@@ -23,10 +23,12 @@ from hermspec import (
     spectral_constant,
 )
 from hermspec.geometry import halfline_window
-from hermspec.gram import (MAX_NODES, PANEL_MAX, QR_BLOCK_ROWS, _hermgauss, _leggauss,
-                           _set_factor, region_quadrature)
+from hermspec import gram
+from hermspec.gram import (MAX_NODES, MAX_PANELS, MAX_RULE_POINTS, PANEL_MAX, QR_BLOCK_ROWS,
+                           _ball_chords, _ball_rows, _hermgauss, _leggauss, _set_factor,
+                           region_quadrature)
 from hermspec.rng import SplitMix64
-from reference_loops import set_factor_loop
+from reference_loops import ball_points_loop, ball_rows_loop, joined, set_factor_loop
 
 
 def gram_entry_oracle(a, b, lo, hi):
@@ -136,6 +138,18 @@ def test_ball_quadrature_1d_is_interval_quadrature():
         pi, wi = region_quadrature(Region.box((1.2,), (0.7,)), rule)
         assert pb.shape == pi.shape and pb.tobytes() == pi.tobytes()
         assert wb.tobytes() == wi.tobytes()
+
+
+@pytest.mark.parametrize("center, r", [
+    ((1.2,), 0.7), ((0.3, -0.4), 1.3), ((0.0, 0.5), 9.0), ((0.1, 0.2, -0.3), 0.7),
+    ((0.0, 1.0, 2.0), 5.5)])
+def test_ball_quadrature_is_the_recursive_chord_rule(center, r):
+    # the chords' points and weights, bit for bit, in d = 1, 2 and 3
+    for nodes in (7, 48, 64):
+        p, w = region_quadrature(Region.ball(center, r), QuadratureRule(nodes=nodes))
+        p_ref, w_ref = joined(ball_points_loop(center, r, nodes))
+        assert p.shape == p_ref.shape and p.tobytes() == p_ref.tobytes()
+        assert w.tobytes() == w_ref.tobytes()
 
 
 def test_ball_gram_offcenter_1d():
@@ -303,6 +317,81 @@ def test_factor_cases_reach_the_block_edges():
     assert len(S.regions) % (QR_BLOCK_ROWS // basis.size) != 0
 
 
+BALL_CASES = {
+    "d2_disc": lambda: (BasisIndexSet(2, 6), Region.ball((0.3, -0.2), 1.1)),
+    "d2_two_panel_chords": lambda: (BasisIndexSet(2, 4), Region.ball((-0.5, 1.0), 3.0)),
+    "d3_ball": lambda: (BasisIndexSet(3, 3), Region.ball((0.2, -0.1, 0.3), 0.8)),
+    "d3_two_panel_chords": lambda: (BasisIndexSet(3, 2), Region.ball((0.0, 0.4, -0.2), 2.5)),
+}
+
+
+@pytest.mark.parametrize("nodes, chords", [(7, 5), (64, 15)])
+@pytest.mark.parametrize("case", sorted(BALL_CASES))
+def test_chord_factor_matches_point_rows(case, nodes, chords, monkeypatch):
+    # N + 1 rows per chord against one row per rule point, at the default chunk
+    # budget and at `chords` single-panel chords a chunk, which no chord count
+    # here (7, 49, 64, 4096) fills evenly.  The point rows are summed in extended
+    # precision: folded by QR, they carry 1.6e-14 of their own at d = 3 and 64 nodes.
+    basis, ball = BALL_CASES[case]()
+    wide = [F.astype(np.longdouble) for F in ball_rows_loop(basis, ball, nodes)]
+    G_ref = sum(F.T @ F for F in wide).astype(float)
+    for budget in (gram.CHORD_POINTS, chords * nodes):
+        monkeypatch.setattr(gram, "CHORD_POINTS", budget)
+        R = _set_factor(basis, SensorSet((ball,)), nodes)
+        assert np.max(np.abs(R.T @ R - G_ref)) <= 1e-14 * np.max(np.abs(G_ref))
+
+
+def test_chord_chunks_are_bounded_by_rule_points():
+    # the wide disc's 64 chords, some of two panels, hold more rule points than
+    # one chunk; no chunk holds more than CHORD_POINTS plus one chord's points
+    basis, ball = BALL_CASES["d2_two_panel_chords"]()
+    m = basis.max_degree + 1
+    _, _, a, b = _ball_chords(ball.center, ball.radius, 64)
+    points = 64 * np.ceil((b - a) / PANEL_MAX)
+    counts = [len(F) // m for F in _ball_rows(basis, ball, 64)]
+    assert len(counts) > 1 and sum(counts) == 64 and points.max() == 128
+    edges = np.cumsum([0] + counts)
+    for s, e in zip(edges[:-1], edges[1:]):
+        assert points[s:e].sum() <= gram.CHORD_POINTS + points.max()
+
+
+def test_1d_ball_rows_are_its_interval_triangle():
+    basis = BasisIndexSet(1, 5)
+    (F,) = _ball_rows(basis, Region.ball((1.2,), 0.7), 64)
+    (B,) = gram._box_rows(basis, [Region.box((1.2,), (0.7,))], 64)
+    assert F.tobytes() == B.tobytes()
+
+
+@pytest.mark.parametrize("region", [
+    Region.ball((0.0,), 1e15), Region.box((0.0,), (1e15,)), Region.ball((0.0, 0.0), 1e15),
+    Region.box((0.0, 3.0), (1.0, 1e15)), Region.box((0.0,), (1e308,)),
+    Region.ball((0.0, 0.0), (MAX_PANELS * PANEL_MAX + 1.0) / 2.0),
+])
+def test_huge_region_is_refused_before_allocation(region):
+    # the Gram and the point rule both refuse it, holding under 1 MB meanwhile
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=rf"^{region.kind} \(.*panels per axis"):
+            gram_over_set(BasisIndexSet(region.dimension, 2), SensorSet((region,)))
+        with pytest.raises(InputError, match=rf"^{region.kind} \(.*panels per axis"):
+            region_quadrature(region)
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_region_quadrature_refuses_too_many_points():
+    # 500 panels a side is inside the panel cap, but 64^2 * 500^2 points are not
+    box = Region.box((0.0, 0.0), (1000.0, 1000.0))
+    with pytest.raises(InputError, match=rf"cap of {MAX_RULE_POINTS} points"):
+        region_quadrature(box)
+    x, _ = region_quadrature(Region.interval(0.0, MAX_PANELS * PANEL_MAX))  # at the panel cap
+    assert x.shape == (MAX_PANELS * 64, 1)
+    # box-queries' longest box, the half-line window at N = 20, has 74 panels
+    (length,) = halfline_window(20).regions[0].side_lengths()
+    assert math.ceil(length / PANEL_MAX) == 74 and 74 * 10 < MAX_PANELS
+
+
 def _gram_peak(basis, S):
     gram_over_set(basis, S)  # warm the cached rules and index maps
     tracemalloc.start()
@@ -321,3 +410,11 @@ def test_box_gram_memory_stays_off_whole_tables():
     # hold 5.9 MB.
     assert _gram_peak(BasisIndexSet(1, 19), halfline_window(19)) < 2 ** 20
     assert _gram_peak(BasisIndexSet(2, 10), _lattice_169()) < 1.5 * 2 ** 20
+
+
+def test_ball_gram_memory_is_bounded_by_chunks():
+    # The point-row path peaked at 15.4 MB on the 3-D ball and 3.06 MB on the
+    # wide disc; chunks of CHORD_POINTS rule points keep both well below.
+    assert _gram_peak(BasisIndexSet(3, 4), SensorSet((Region.ball((0.0,) * 3, 0.7),))) < 4 * 2 ** 20
+    assert _gram_peak(BasisIndexSet(2, 4), SensorSet((Region.ball((0.0,) * 2, 25.0),))) \
+        < 3.1 * 2 ** 20

@@ -1,11 +1,14 @@
-"""Identities the mathematics guarantees, on d = 1 intervals with N <= 20 and d = 2, 3 box unions.
+"""Identities the mathematics guarantees, on d = 1 intervals with N <= 20, d = 2, 3 box
+unions, d = 2 disc unions and d = 3 balls.
 
 Most d = 1 properties compare Grams built from different region splits, so a
 quadrature that depended on where a set is cut would break it; one bounds
 lam_min to (0, 1], which must hold however far below machine epsilon the
 constant falls.  Box unions in d = 2 and 3 are checked for symmetry, PSD-ness
 and lam_min in (0, 1], and against closed-form moments built from scipy's
-erf.  Examples are derandomized, so the suite is deterministic.
+erf; disc unions the same way against a polar-coordinate rule about each
+disc's own center, and 3-D balls for symmetry, PSD-ness and lam_min.
+Examples are derandomized, so the suite is deterministic.
 """
 
 import math
@@ -16,6 +19,7 @@ from scipy.special import erf
 
 from hermspec import BasisIndexSet, Region, SensorSet, gram_over_set, spectral_constant
 from hermspec.geometry import fullspace_window
+from test_gram import polar_disc_gram
 
 examples = settings(derandomize=True, database=None, deadline=None, max_examples=20)
 degrees = st.integers(min_value=0, max_value=8)
@@ -143,13 +147,17 @@ def test_box_union_gram_3d(N, S):
     _check_box_union(N, S)
 
 
-def _check_box_union(N, S):
-    basis = BasisIndexSet(S.dimension, N)
-    G = gram_over_set(basis, S)
+def _check_symmetric_psd_unit_lam(G):
     assert np.array_equal(G.entries, G.entries.T)
     assert np.linalg.eigvalsh(G.entries)[0] >= -1e-14 * np.max(np.abs(G.entries))
     lam, _ = spectral_constant(G)
     assert 0.0 < lam <= 1.0 + 1e-12
+
+
+def _check_box_union(N, S):
+    basis = BasisIndexSet(S.dimension, N)
+    G = gram_over_set(basis, S)
+    _check_symmetric_psd_unit_lam(G)
     alph = np.asarray(basis.indices)
     oracle = np.zeros_like(G.entries)
     for box in S.regions:
@@ -158,3 +166,36 @@ def _check_box_union(N, S):
             part *= erf_moments(N, c - h, c + h)[np.ix_(alph[:, j], alph[:, j])]
         oracle += part
     assert np.max(np.abs(G.entries - oracle)) <= 1e-12
+
+
+@st.composite
+def disc_unions(draw):
+    """One disc in [-2.5, 2.5]^2, or two whose gap is at least 0.05."""
+    coord = st.floats(min_value=-2.5, max_value=2.5)
+    radius = st.floats(min_value=0.2, max_value=1.5)
+    discs = [Region.ball((draw(coord), draw(coord)), draw(radius))]
+    if draw(st.booleans()):
+        r, angle = draw(radius), draw(st.floats(min_value=0.0, max_value=2.0 * math.pi))
+        dist = discs[0].radius + r + draw(st.floats(min_value=0.05, max_value=1.0))
+        c = discs[0].center
+        discs.append(Region.ball((c[0] + dist * math.cos(angle), c[1] + dist * math.sin(angle)), r))
+    return SensorSet(tuple(discs))
+
+
+@examples
+@given(N=st.integers(min_value=0, max_value=4), S=disc_unions())
+def test_disc_union_gram_2d(N, S):
+    basis = BasisIndexSet(2, N)
+    G = gram_over_set(basis, S)
+    _check_symmetric_psd_unit_lam(G)
+    oracle = sum(polar_disc_gram(basis, disc.center, disc.radius) for disc in S.regions)
+    assert np.max(np.abs(G.entries - oracle)) <= 1e-12
+
+
+@settings(examples, max_examples=10)  # a 3-D ball Gram takes about 0.3 s
+@given(N=st.integers(min_value=0, max_value=3),
+       center=st.tuples(*[st.floats(min_value=-1.5, max_value=1.5)] * 3),
+       radius=st.floats(min_value=0.2, max_value=1.5))
+def test_ball_gram_3d(N, center, radius):
+    G = gram_over_set(BasisIndexSet(3, N), SensorSet((Region.ball(center, radius),)))
+    _check_symmetric_psd_unit_lam(G)
