@@ -19,12 +19,9 @@ from .rng import SplitMix64
 from .basis import (
     BasisIndexSet,
     HermiteVector,
-    basis_vector,
-    derivative_multi,
     derivative_operator,
     eval_phi,
     eval_phi_table,
-    eval_Phi,
     multi_indices,
 )
 from .geometry import (
@@ -37,7 +34,6 @@ from .geometry import (
     density_check,
     example_finite_measure_set,
     lattice_covering,
-    scaled_set,
 )
 from .bounds import (
     BoundParams,
@@ -46,7 +42,6 @@ from .bounds import (
     cobs_bound_log,
     concentration_radius,
     delta_choice,
-    lambda_to_degree,
     thm_balls_bound,
     thm_cubes_bound,
     thm_general_bound,
@@ -81,7 +76,6 @@ from .control import (
     hum_control,
     observability_gramian,
     observability_gramian_quadrature,
-    semigroup_apply,
 )
 
 __version__ = "0.1.0"

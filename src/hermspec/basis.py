@@ -111,26 +111,6 @@ def eval_phi(k, t):
     return table[..., k]
 
 
-def eval_Phi(alpha, x):
-    """Tensor Hermite function Phi_alpha at the point(s) x.
-
-    x may be a single d-vector or an (n, d) array of points.
-    """
-    alpha = tuple(alpha)
-    x = np.asarray(x)
-    if x.ndim == 1:
-        if x.shape[0] != len(alpha):
-            raise InputError(f"point has dimension {x.shape[0]}, index has {len(alpha)}")
-        vals = [eval_phi(alpha[j], x[j]) for j in range(len(alpha))]
-        return math.prod(vals) if not np.iscomplexobj(x) else np.prod(vals)
-    if x.shape[1] != len(alpha):
-        raise InputError(f"points have dimension {x.shape[1]}, index has {len(alpha)}")
-    out = np.ones(x.shape[0], dtype=complex if np.iscomplexobj(x) else float)
-    for j, aj in enumerate(alpha):
-        out = out * eval_phi(aj, x[:, j])
-    return out
-
-
 @dataclass
 class HermiteVector:
     """An element of E_N given by its coefficients in the orthonormal tensor basis."""
@@ -181,13 +161,6 @@ class HermiteVector:
         return HermiteVector(target, c)
 
 
-def basis_vector(basis, alpha, scale=1.0):
-    """The HermiteVector scale * Phi_alpha in the given basis."""
-    c = np.zeros(basis.size)
-    c[basis.position(alpha)] = scale
-    return HermiteVector(basis, c)
-
-
 def derivative_operator(f, axis):
     """Exact partial derivative d/dx_axis of f, as a HermiteVector of degree N+1.
 
@@ -234,12 +207,3 @@ def _frozen(arrays):
     for a in arrays:
         a.setflags(write=False)
     return arrays
-
-
-def derivative_multi(f, alpha):
-    """Iterated exact derivative d^alpha f (alpha a multi-index of order m)."""
-    g = f
-    for axis, reps in enumerate(alpha):
-        for _ in range(reps):
-            g = derivative_operator(g, axis)
-    return g

@@ -46,13 +46,6 @@ def bernstein_CB_log(m, N, d, delta):
     )
 
 
-def lambda_to_degree(lam, d):
-    """Largest degree N with 2N + d <= lam; -1 signals the empty projector."""
-    if lam < d:
-        return -1
-    return int(math.floor((lam - d) / 2.0))
-
-
 @dataclass(frozen=True)
 class BoundValue:
     """A lower bound carried as log(value) = log(prefactor) + exponent * log(base)."""

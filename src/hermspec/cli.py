@@ -14,6 +14,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -199,6 +200,18 @@ def _sensor_set(cfg):
     raise ConfigError(f"unknown set kind '{kind}'")
 
 
+@contextmanager
+def _inline_lines(cfg):
+    """Re-raise an InputError about inline regions as a ConfigError naming their lines."""
+    try:
+        yield
+    except InputError as exc:
+        if not exc.regions or _get(cfg, "set") != "inline":
+            raise
+        named = " and ".join("%s: region %r" % cfg["region"][i] for i in exc.regions)
+        raise ConfigError(f"{exc} ({named})") from None
+
+
 def _write(outdir, name, text):
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, name)
@@ -301,8 +314,8 @@ def cmd_gram(cfg):
     d = _get(cfg, "dimension")
     N = _get(cfg, "degree_max")
     basis = BasisIndexSet(d, N)
-    S = _sensor_set(cfg)
-    G = gram_over_set(basis, S, _quad_rule(cfg))
+    with _inline_lines(cfg):
+        G = gram_over_set(basis, _sensor_set(cfg), _quad_rule(cfg))
     defect = G.symmetry_defect()
     checks = [_check("gram-symmetry", defect <= 1e-12, defect, 1e-12)]
     header = [str(i) for i in range(basis.size)]
@@ -313,8 +326,8 @@ def cmd_spectral(cfg):
     d = _get(cfg, "dimension")
     N = _get(cfg, "degree_max")
     basis = BasisIndexSet(d, N)
-    S = _sensor_set(cfg)
-    report = spectral_report(basis, S, _quad_rule(cfg))
+    with _inline_lines(cfg):
+        report = spectral_report(basis, _sensor_set(cfg), _quad_rule(cfg))
     rows = [(report.N, report.d, report.set_hash, report.lam_min)]
     checks = [_check("spectral-positive", report.lam_min > 0, report.lam_min, 0.0)]
     return _emit(cfg, "spectral", ("N", "d", "set_hash", "lam_min"), rows, checks)
@@ -439,8 +452,9 @@ def cmd_control(cfg):
     T = _get(cfg, "T")
     samples = _get(cfg, "samples")
     basis = BasisIndexSet(d, N)
-    S = _sensor_set(cfg)
-    problem = ControlProblem(basis, gram_over_set(basis, S, _quad_rule(cfg)), T)
+    with _inline_lines(cfg):
+        G_S = gram_over_set(basis, _sensor_set(cfg), _quad_rule(cfg))
+    problem = ControlProblem(basis, G_S, T)
     cobs = problem.observability_constant()
     rng = SplitMix64(_get(cfg, "seed"))
     rows = []

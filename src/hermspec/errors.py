@@ -2,7 +2,14 @@
 
 
 class InputError(ValueError):
-    """Invalid argument (out-of-range parameter, dimension mismatch, non-finite input)."""
+    """Invalid argument (out-of-range parameter, dimension mismatch, non-finite input).
+
+    regions holds the indices of the offending regions of a SensorSet, when known.
+    """
+
+    def __init__(self, message, regions=()):
+        super().__init__(message)
+        self.regions = regions
 
 
 class QuadratureError(RuntimeError):
@@ -19,11 +26,13 @@ class ResolutionError(RuntimeError):
 
 
 class NonObservableError(RuntimeError):
-    """Observability Gramian is singular at tolerance (e.g. empty sensor set)."""
+    """Observability constant is not finite: a solve with the Gramian's factor hit a
+    zero pivot or overflowed (e.g. an empty sensor set)."""
 
 
 class NonControllableError(RuntimeError):
-    """HUM system is singular at the configured eigenvalue floor."""
+    """HUM control is not finite: a solve with the Gramian's factor hit a zero pivot
+    or overflowed."""
 
 
 class VerificationError(AssertionError):

@@ -170,7 +170,7 @@ class SensorSet:
                 raise InputError("regions of mixed dimension")
         pair = _first_overlap(regions)
         if pair is not None:
-            raise InputError("regions %d and %d have overlapping interiors" % pair)
+            raise InputError("regions %d and %d have overlapping interiors" % pair, pair)
 
     @property
     def dimension(self):
@@ -190,22 +190,11 @@ class SensorSet:
             mask |= r.contains(points)
         return mask
 
-    def scaled(self, factor):
-        return SensorSet(tuple(r.scaled(factor) for r in self.regions))
-
     def to_text(self):
         d = self.regions[0].dimension if self.regions else 0
         lines = [f"dim={d}"]
         lines.extend(r.to_line() for r in self.regions)
         return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text):
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("dim="):
-            raise InputError("missing dim= header")
-        d = int(lines[0][4:])
-        return SensorSet(tuple(Region.from_line(ln, d) for ln in lines[1:]))
 
 
 @dataclass(frozen=True)
@@ -301,16 +290,6 @@ class CoveringFamily:
         """The l_k vector of the element's enclosing hyperrectangle."""
         return self.elements[k].side_lengths()
 
-    def overlap_at(self, points):
-        """Number of covering elements containing each point."""
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points[:, None]
-        count = np.zeros(points.shape[0], dtype=int)
-        for r in self.elements:
-            count += r.contains(points)
-        return count
-
     def validate(self, N):
         """Check the covering-shape hypotheses on the constructed family."""
         d = self.dimension
@@ -322,42 +301,6 @@ class CoveringFamily:
             if l1 > cap * (1 + 1e-12):
                 raise InputError(f"element {k}: ||l_k||_1 = {l1} exceeds D N^((1-eps)/2) = {cap}")
         return True
-
-    def to_text(self):
-        lines = [
-            f"dim={self.dimension}",
-            f"kappa={self.kappa!r}",
-            f"eta={self.eta!r}",
-            f"D={self.D!r}",
-            f"eps={self.eps!r}",
-            "central=" + ",".join(str(i) for i in self.central),
-        ]
-        lines.extend(r.to_line() for r in self.elements)
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text):
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        header = {}
-        regions = []
-        d = None
-        for ln in lines:
-            if "=" in ln and ln.split("=", 1)[0] in ("dim", "kappa", "eta", "D", "eps", "central"):
-                key, val = ln.split("=", 1)
-                header[key] = val
-                if key == "dim":
-                    d = int(val)
-            else:
-                regions.append(Region.from_line(ln, d))
-        central = tuple(int(t) for t in header["central"].split(",") if t)
-        return CoveringFamily(
-            tuple(regions),
-            kappa=float(header["kappa"]),
-            eta=float(header["eta"]),
-            D=float(header["D"]),
-            eps=float(header["eps"]),
-            central=central,
-        )
 
 
 def fullspace_window(d, N, half=None):
@@ -692,9 +635,3 @@ def _mark_ball(overlap, center, radius, h, n):
                 for j in range(d))
     overlap[box] += dist2 <= radius ** 2
 
-
-def scaled_set(S, t):
-    """Dilation x -> t^(1/4) x of every region about the origin."""
-    if not 0 < t < math.inf:
-        raise InputError("t must be positive and finite")
-    return S.scaled(t ** 0.25)

@@ -96,15 +96,18 @@ def _ball_chords(center, r, nodes):
     return x, f, center[-1] - rho, center[-1] + rho
 
 
-def _check_size(region, nodes, max_points=math.inf):
-    """Raise InputError naming the region if its rule passes MAX_PANELS on an axis or max_points."""
+def _check_size(region, nodes, max_points=math.inf, regions=()):
+    """Raise InputError naming the region if its rule passes MAX_PANELS on an axis or max_points.
+
+    regions, the region's index in its set if any, goes with the error.
+    """
     sides = region.side_lengths()  # a ball has nodes^(d-1) chords, none longer than its diameter
     panels = [max(1, math.ceil(min(s, PANEL_MAX * (MAX_PANELS + 1)) / PANEL_MAX)) for s in sides]
     points = nodes ** len(sides) * (panels[0] if region.kind == "ball" else math.prod(panels))
     if max(panels) > MAX_PANELS or points > max_points:
         cap = f"{max_points} points" if points > max_points else f"{MAX_PANELS} panels per axis"
         raise InputError(f"{region.kind} {region.center} {region.radius or region.half_sides}: "
-                         f"its quadrature rule at {nodes} nodes passes the cap of {cap}")
+                         f"its quadrature rule at {nodes} nodes passes the cap of {cap}", regions)
 
 
 def region_quadrature(region, rule=DEFAULT_RULE):
@@ -143,18 +146,6 @@ class GramMatrix:
 
     def symmetry_defect(self):
         return float(np.max(np.abs(self.entries - self.entries.T)))
-
-    def to_csv(self):
-        """CSV with a header row of flat indices; 17 significant digits."""
-        rows = [map(str, range(self.basis.size))]
-        rows += [(format(v, ".17g") for v in row) for row in self.entries]
-        return "".join(",".join(row) + "\n" for row in rows)
-
-    @staticmethod
-    def from_csv(text, basis):
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        rows = [[float(t) for t in ln.split(",")] for ln in lines[1:]]
-        return GramMatrix(basis, np.asarray(rows))
 
 
 def _alpha_matrix(basis):
@@ -274,7 +265,8 @@ def _set_factor(basis, S, nodes):
 def gram_over_set(basis, S, rule=DEFAULT_RULE):
     """Gram matrix over a sensor set and its factor, refined by node doubling up to MAX_NODES."""
     if S.regions:  # the panel cap binds first on the longest side
-        _check_size(max(S.regions, key=lambda r: max(r.bounding_halfwidths())), rule.nodes)
+        k = max(range(len(S.regions)), key=lambda i: max(S.regions[i].bounding_halfwidths()))
+        _check_size(S.regions[k], rule.nodes, regions=(k,))
     nodes = rule.nodes
     R = _set_factor(basis, S, nodes)
     prev = cur = R.T @ R

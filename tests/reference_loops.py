@@ -5,7 +5,9 @@ norms must match their loops bit for bit, and so must the chord rule of a ball
 against its recursive point form.  The set factor built box by box and point
 row by point row and the pairwise disjointness test are the forms the batched
 Gram, the chord triangles and the array overlap check replaced; the tests hold
-those to stated tolerances and to the same accept/reject decisions.
+those to stated tolerances and to the same accept/reject decisions.  The
+pointwise tensor function, the iterated derivative and the covering's overlap
+count are oracles only the tests use.
 """
 
 import math
@@ -13,7 +15,7 @@ import math
 import numpy as np
 
 from hermspec.basis import BasisIndexSet, HermiteVector
-from hermspec.basis import eval_phi_table
+from hermspec.basis import derivative_operator, eval_phi, eval_phi_table
 from hermspec.gram import (DEFAULT_RULE, QR_BLOCK_ROWS, _alpha_matrix, _basis_table, _leggauss,
                            _square, _triangle, axis_quadrature, region_quadrature)
 
@@ -38,6 +40,27 @@ def derivative_operator_loop(f, axis):
         up = alpha[:axis] + (k + 1,) + alpha[axis + 1:]
         out[pos[up]] -= coef * math.sqrt((k + 1) / 2.0)
     return HermiteVector(target, out)
+
+
+def eval_Phi(alpha, x):
+    """Tensor Hermite function Phi_alpha at the (n, d) points x, one axis factor at a time."""
+    out = np.ones(x.shape[0])
+    for j, aj in enumerate(alpha):
+        out = out * eval_phi(aj, x[:, j])
+    return out
+
+
+def derivative_multi(f, alpha):
+    """Iterated exact derivative d^alpha f, one ladder step at a time."""
+    for axis, reps in enumerate(alpha):
+        for _ in range(reps):
+            f = derivative_operator(f, axis)
+    return f
+
+
+def overlap_at(covering, points):
+    """Number of covering elements containing each of the (n, d) points."""
+    return sum(r.contains(points).astype(int) for r in covering.elements)
 
 
 def embedded_loop(f, max_degree):

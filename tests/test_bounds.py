@@ -9,7 +9,6 @@ from hermspec import (
     cobs_bound_log,
     concentration_radius,
     delta_choice,
-    lambda_to_degree,
     thm_balls_bound,
     thm_cubes_bound,
     thm_general_bound,
@@ -42,14 +41,6 @@ def test_bernstein_CB_log_formula():
     # eventually monotone in m (the 2 log m! term dominates once 2 log m > -2 log(2 delta))
     vals = [bernstein_CB_log(m, N, d, delta) for m in range(20, 30)]
     assert vals == sorted(vals)
-
-
-def test_lambda_to_degree():
-    assert lambda_to_degree(0.5, 1) == -1
-    assert lambda_to_degree(1.0, 1) == 0
-    assert lambda_to_degree(2.9, 1) == 0
-    assert lambda_to_degree(3.0, 1) == 1
-    assert lambda_to_degree(21.0, 3) == 9
 
 
 def test_general_bound_formula():

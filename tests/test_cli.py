@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import pytest
 
@@ -89,6 +90,38 @@ def test_cli_exit_2_on_region_too_large_to_integrate(tmp_path, capsys, d, region
     assert main(["spectral", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {region.split()[0]} (") and "1024 panels per axis" in err
+
+
+@pytest.mark.parametrize("subcommand", ["gram", "spectral", "control"])
+def test_cli_overlap_error_names_both_config_lines(tmp_path, capsys, subcommand):
+    cfg = write(tmp_path, "ov.cfg", (
+        "dimension = 1\n"
+        "degree_max = 1\n"
+        "region = box 0.0 2.0\n"
+        "region = box 5.0 0.5\n"
+        "region = box 1.0 2.0\n"
+        f"out_dir = {tmp_path / 'out'}\n"
+    ))
+    assert main([subcommand, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "overlapping interiors" in err
+    assert "(line 3: region 'box 0.0 2.0' and line 5: region 'box 1.0 2.0')" in err
+
+
+@pytest.mark.parametrize("subcommand", ["gram", "spectral", "control"])
+def test_cli_size_cap_error_names_its_config_line(tmp_path, capsys, subcommand):
+    cfg = write(tmp_path, "huge.cfg", (
+        "dimension = 1\n"
+        "degree_max = 2\n"
+        "region = box 2e15 0.5\n"
+        "# a comment line still counts\n"
+        "region = ball 0.0 1e15\n"
+        f"out_dir = {tmp_path / 'out'}\n"
+    ))
+    assert main([subcommand, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "1024 panels per axis" in err
+    assert err.rstrip().endswith("(line 5: region 'ball 0.0 1e15')")
 
 
 def test_cli_exit_1_on_quadrature_failure(tmp_path, capsys):
@@ -229,15 +262,21 @@ def test_control_subcommand(tmp_path):
 
 
 def test_control_exit_1_on_unobservable_set(tmp_path, capsys):
-    # a thin box far out in the Gaussian tail leaves the Gramian below its floor
+    # a thin box far out in the Gaussian tail: R_S is about 1e-196, so the HUM
+    # solve overflows; that leaves as the typed error, with no warning and no inf
     cfg = write(tmp_path, "ctl.cfg", (
         "dimension = 1\n"
         "degree_max = 3\n"
         "region = box 30.0 0.1\n"
         f"out_dir = {tmp_path / 'out'}\n"
     ))
-    assert main(["control", "--config", cfg]) == 1
-    assert "verification failure: Gramian smallest eigenvalue" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["control", "--config", cfg]) == 1
+    assert ("verification failure: the observability Gramian is numerically singular"
+            in capsys.readouterr().err)
+    manifest = tmp_path / "out" / "manifest.txt"
+    assert not manifest.exists() or "inf" not in manifest.read_text()
 
 
 def test_bounds_subcommand(tmp_path):

@@ -18,9 +18,9 @@ from hermspec import (
     norm2_over_set,
     observability_gramian,
     observability_gramian_quadrature,
-    semigroup_apply,
 )
 from hermspec.rng import SplitMix64
+from mpmath_reference import mpmath_c_obs
 
 
 def make_system(N=6, window=True):
@@ -30,23 +30,6 @@ def make_system(N=6, window=True):
     else:
         S = SensorSet((Region.interval(0.5, 1.5), Region.interval(-2.0, -1.0)))
     return basis, gram_over_set(basis, S)
-
-
-def test_semigroup_apply_coefficients():
-    basis = BasisIndexSet(1, 2)
-    f = HermiteVector(basis, np.array([1.0, 2.0, -1.0]))
-    g = semigroup_apply(f, 0.5)
-    lam = basis.semigroup_eigenvalues()
-    assert g.coeffs == pytest.approx(f.coeffs * np.exp(-lam * 0.5))
-    with pytest.raises(InputError):
-        semigroup_apply(f, -0.1)
-
-
-def test_semigroup_contraction():
-    basis = BasisIndexSet(2, 3)
-    rng = SplitMix64(59)
-    f = HermiteVector(basis, rng.unit_coeffs(basis.size))
-    assert semigroup_apply(f, 1.0).norm2() < f.norm2()
 
 
 def test_gramian_scalar_case():
@@ -70,6 +53,12 @@ def test_gramian_requires_positive_horizon():
         observability_gramian(G, basis, 0.0)
     with pytest.raises(InputError):
         ControlProblem(basis, G, 0.0)
+
+
+def test_problem_needs_the_set_factor():
+    basis = BasisIndexSet(1, 0)
+    with pytest.raises(InputError, match="factor"):
+        ControlProblem(basis, GramMatrix(basis, np.array([[0.7]])), 1.0)
 
 
 def test_nonobservable_empty_set():
@@ -183,25 +172,54 @@ def test_full_window_control_is_cheapest():
 
 
 def test_problem_factors_gramian_once(monkeypatch):
-    import hermspec.control as control
-
-    calls = []
-    real = control.jacobi_eigh
-
-    def counted(A, *args, **kwargs):
-        calls.append(A.shape)
-        return real(A, *args, **kwargs)
-
-    monkeypatch.setattr(control, "jacobi_eigh", counted)
+    # one QR at construction and one SVD on first use, however many controls follow
     basis, G = make_system(6, window=False)
+    calls = []
+    for name in ("qr", "svd"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
     problem = ControlProblem(basis, G, 1.0)
+    assert calls == ["qr"]
     rng = SplitMix64(83)
     for _ in range(50):
         hum_control(problem, HermiteVector(basis, rng.unit_coeffs(basis.size)))
     c_obs = problem.observability_constant()
     res = hum_control(problem, problem.worst_case_initial_state())
     assert res.cost == pytest.approx(c_obs, rel=1e-8)
-    assert len(calls) == 2
+    assert calls == ["qr", "svd"]
+
+
+@pytest.mark.parametrize("interval, N, T", [
+    ((-2.0, 2.0), 20, 0.25),  # the eigensolve of B read 1.7e-6 off
+    ((-2.0, 2.0), 20, 0.05),  # refused: B's smallest eigenvalue fell below 1e-14
+    ((-0.89, 0.62), 20, 0.5),  # refused likewise
+])
+def test_observability_constant_against_mpmath(interval, N, T):
+    basis = BasisIndexSet(1, N)
+    G = gram_over_set(basis, SensorSet((Region.interval(*interval),)))
+    c_obs = ControlProblem(basis, G, T).observability_constant()
+    ref = mpmath_c_obs([interval], N, T)
+    assert abs(c_obs - ref) <= 1e-10 * ref
+
+
+@pytest.mark.parametrize("d, N, region", [
+    (2, 6, Region.box((0.5, -0.125), (0.4, 0.475))),
+    (3, 3, Region.box((0.2, -0.1, 0.3), (0.5, 0.6, 0.4))),
+])
+def test_gramian_factor_matches_closed_form(d, N, region):
+    # N + ceil(d/2) Gauss nodes in s = exp(-2t) are exact; one node fewer is off
+    # by 1e-8 or more at T = 1 and 5 in d = 2 and 3
+    basis = BasisIndexSet(d, N)
+    G = gram_over_set(basis, SensorSet((region,)))
+    for T in (0.05, 1.0, 5.0):
+        R_B = ControlProblem(basis, G, T).R_B
+        B = observability_gramian(G, basis, T).entries
+        assert np.max(np.abs(R_B.T @ R_B - B)) <= 1e-14 * np.max(np.abs(B))
 
 
 def test_simulation_step_matches_duhamel_integral():

@@ -213,13 +213,6 @@ def test_weighted_gram_rejects_large_weight():
         gram_fullspace_weighted(BasisIndexSet(1, 2), 0.5)
 
 
-def test_gram_csv_round_trip():
-    basis = BasisIndexSet(1, 3)
-    G = gram_over_set(basis, SensorSet((Region.interval(0, 1),)))
-    back = GramMatrix.from_csv(G.to_csv(), basis)
-    assert np.array_equal(back.entries, G.entries)
-
-
 def test_norm2_over_set_matches_quadratic_form():
     basis = BasisIndexSet(1, 6)
     rng = SplitMix64(23)

@@ -16,7 +16,6 @@ from hermspec import (
     classify_cells,
     counterexample_growth,
     derivative_columns,
-    derivative_multi,
     estimate_Mk,
     good_cell_Mk_bound_log,
     gram_over_set,
@@ -32,7 +31,8 @@ from hermspec.gram import QuadratureRule
 from hermspec.rng import SplitMix64
 from hermspec import spectral
 from hermspec.spectral import CellContext
-from reference_loops import LoopCellContext
+from mpmath_reference import mpmath_lam_min
+from reference_loops import LoopCellContext, derivative_multi
 
 
 def test_jacobi_against_numpy_eigh():
@@ -54,34 +54,6 @@ def test_jacobi_ascending_order():
     A = np.diag([3.0, -1.0, 2.0])
     vals, _ = jacobi_eigh(A)
     assert vals.tolist() == [-1.0, 2.0, 3.0]
-
-
-def mpmath_lam_min(intervals, N, dps=80):
-    """lam_min of a d = 1 interval union by exact Hankel moments in mpmath.
-
-    G = C H C^T with C the monomial coefficients of the normalized Hermite
-    polynomials and H[i, j] = int_S t^(i+j) exp(-t^2) dt, each moment a
-    lower incomplete gamma function.
-    """
-    with mpmath.workdps(dps):
-        C = mpmath.zeros(N + 1, N + 1)
-        for n in range(N + 1):
-            norm = mpmath.sqrt(2 ** n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
-            for m in range(n // 2 + 1):
-                C[n, n - 2 * m] = ((-1) ** m * mpmath.factorial(n) * 2 ** (n - 2 * m)
-                                   / (mpmath.factorial(m) * mpmath.factorial(n - 2 * m) * norm))
-
-        def primitive(x, k):  # int_0^x t^k exp(-t^2) dt
-            x = mpmath.mpf(x)
-            return mpmath.sign(x) ** (k + 1) * mpmath.gammainc((k + 1) / mpmath.mpf(2), 0, x * x) / 2
-
-        mu = [sum(primitive(b, k) - primitive(a, k) for a, b in intervals)
-              for k in range(2 * N + 1)]
-        H = mpmath.matrix(N + 1, N + 1)
-        for i in range(N + 1):
-            for j in range(N + 1):
-                H[i, j] = mu[i + j]
-        return float(min(mpmath.eigsy(C * H * C.T, eigvals_only=True)))
 
 
 def test_lam_min_below_machine_epsilon_against_mpmath():
@@ -135,8 +107,8 @@ def test_spectral_report_fields():
     assert rep.N == 2 and rep.d == 1
     assert 0.0 < rep.lam_min < 1.0
     assert len(rep.set_hash) == 16
-    # identical set text gives identical hash
-    rep2 = spectral_report(BasisIndexSet(1, 2), SensorSet.from_text(S.to_text()))
+    # an equal set built anew gives identical hash
+    rep2 = spectral_report(BasisIndexSet(1, 2), SensorSet((Region.interval(-1.0, 1.0),)))
     assert rep2.set_hash == rep.set_hash
 
 
