@@ -20,7 +20,7 @@ import numpy as np
 
 from . import acceptance
 from .acceptance import CriterionResult, results_csv, run_criteria, criterion_13
-from .basis import BasisIndexSet, HermiteVector, derivative_operator
+from .basis import BasisIndexSet, HermiteVector, derivative_operator, eval_phi_table
 from .bounds import (
     BoundParams,
     bernstein_CB_log,
@@ -51,7 +51,7 @@ from .geometry import (
     halfline_window,
     lattice_covering,
 )
-from .gram import QuadratureRule, gram_over_set, gram_fullspace_weighted
+from .gram import QuadratureRule, _hermgauss, gram_over_set, gram_fullspace_weighted
 from .rng import SplitMix64
 from .spectral import (
     CellContext,
@@ -237,6 +237,19 @@ def _check(name, passed, value, tolerance):
     return CriterionResult(0, name, bool(passed), float(value), float(tolerance))
 
 
+def _derivative_norm2(f):
+    """||d/dx_0 f||^2 over R^d without the ladder: phi_k' = sqrt(2k) phi_(k-1) - x phi_k
+    (from H_k' = 2k H_(k-1)) by N + 2 Gauss-Hermite nodes, exact; other axes are orthonormal.
+    """
+    N, alph = f.basis.max_degree, np.asarray(f.basis.indices)
+    u, w = _hermgauss(N + 2)
+    P = eval_phi_table(N, u) * np.exp(0.5 * u * u)[:, None]  # polynomial parts
+    dP = np.sqrt(2.0 * np.arange(N + 1)) * np.pad(P[:, :-1], ((0, 0), (1, 0))) - u[:, None] * P
+    D = ((dP.T * w) @ dP)[np.ix_(alph[:, 0], alph[:, 0])]
+    D *= np.all(alph[:, None, 1:] == alph[None, :, 1:], axis=-1)
+    return float(f.coeffs @ D @ f.coeffs)
+
+
 def cmd_basis_check(cfg):
     d = _get(cfg, "dimension")
     N = _get(cfg, "degree_max")
@@ -247,16 +260,16 @@ def cmd_basis_check(cfg):
     rng = SplitMix64(_get(cfg, "seed"))
     f = HermiteVector(basis, rng.unit_coeffs(basis.size))
     df = derivative_operator(f, 0)
-    # ladder consistency: d/dx phi_k norms from coefficients match |f|-scale
-    ladder_ok = math.isfinite(df.norm2())
+    ladder = abs(df.norm2() - _derivative_norm2(f)) / df.norm2()
     rows = [
         ("size", basis.size, float(size_ok)),
         ("gram_deviation", dev, 1e-10),
-        ("derivative_norm2", df.norm2(), float(ladder_ok)),
+        ("ladder_norm", ladder, 1e-10),
     ]
     checks = [
         _check("basis-size", size_ok, basis.size, 0.0),
         _check("orthonormality", dev <= 1e-10, dev, 1e-10),
+        _check("ladder-norm", ladder <= 1e-10, ladder, 1e-10),
     ]
     return _emit(cfg, "basis-check", ("check", "value", "tolerance"), rows, checks)
 

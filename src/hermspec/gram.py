@@ -12,7 +12,9 @@ boxes at a time folded pairwise.  A chord gives N + 1 rows: its weight and basis
 values in x' times its interval's axis triangle (a 3-D ball at N = 4: 0.7 s, not
 5.6 s as a row per rule point).  Householder QR compresses a set's rows into one
 triangle R_S, G_S = R_S^T R_S, so each Gram is PSD and lam_min = sigma_min(R_S)^2.
-Full-space weighted Grams use scaled Gauss-Hermite nodes, exact for polynomials.
+region_triangles keeps one such triangle per region instead, for the local
+masses of covering cells.  Full-space weighted Grams use scaled Gauss-Hermite
+nodes, exact for polynomials.
 """
 
 import math
@@ -227,14 +229,12 @@ def _fold(F):
     return F[0]
 
 
-def _box_rows(basis, boxes, nodes):
-    """Row blocks F of a list of boxes whose F^T F sum to their Gram.
+def _box_triangles(basis, boxes, nodes):
+    """Stacked n x n upper triangles F_i, F_i^T F_i the Gram of box i, QR_BLOCK_ROWS // n at a time.
 
     A box Gram is the Hadamard product of per-axis moment matrices A_j = R_j^T R_j;
     R_j is upper triangular and the basis graded, so the Hadamard product of the
     R_j[alpha_j, beta_j] is an n x n upper triangle whose Gram is that product.
-    The triangles of QR_BLOCK_ROWS // n boxes at a time are built together and
-    folded into one.
     """
     n, m = basis.size, basis.max_degree + 1
     alph = _alpha_matrix(basis)
@@ -247,15 +247,34 @@ def _box_rows(basis, boxes, nodes):
         for j in range(basis.dimension):
             R = _axis_triangles(basis.max_degree, c[:, j] - h[:, j], c[:, j] + h[:, j], nodes)
             F *= R.reshape(len(c), m * m)[:, flat[j]]
-        yield _fold(F.reshape(len(c), n, n))
+        yield F.reshape(len(c), n, n)
 
 
-def _set_factor(basis, S, nodes):
-    """n x n upper triangle R_S with R_S^T R_S the Gram of S at this node count."""
+def region_triangles(basis, regions, nodes):
+    """Stacked n x n upper triangles T_k, shape (k, n, n), with T_k^T T_k the Gram of region k.
+
+    Boxes are built as for a set; a ball's chord rows go through Householder QR
+    into its own triangle.  The squared L^2 norm of c over region k is |T_k c|^2.
+    """
+    if regions:  # the panel cap binds first on the longest side
+        _check_size(max(regions, key=lambda r: max(r.bounding_halfwidths())), nodes)
+    out = np.empty((len(regions), basis.size, basis.size))
+    boxes, done = [k for k, region in enumerate(regions) if region.kind == "box"], 0
+    for F in _box_triangles(basis, [regions[k] for k in boxes], nodes):
+        out[boxes[done:done + len(F)]] = F
+        done += len(F)
+    for k, region in enumerate(regions):
+        if region.kind == "ball":
+            out[k] = _set_factor(basis, [region], nodes)
+    return out
+
+
+def _set_factor(basis, regions, nodes):
+    """n x n upper triangle R_S with R_S^T R_S the Gram of the regions' union at this node count."""
     R = np.empty((0, basis.size))
-    for F in _box_rows(basis, [r for r in S.regions if r.kind == "box"], nodes):
-        R = _triangle(R, F)
-    for region in S.regions:
+    for F in _box_triangles(basis, [r for r in regions if r.kind == "box"], nodes):
+        R = _triangle(R, _fold(F))
+    for region in regions:
         if region.kind == "ball":
             for F in _ball_rows(basis, region, nodes):
                 R = _triangle(R, F)
@@ -268,11 +287,11 @@ def gram_over_set(basis, S, rule=DEFAULT_RULE):
         k = max(range(len(S.regions)), key=lambda i: max(S.regions[i].bounding_halfwidths()))
         _check_size(S.regions[k], rule.nodes, regions=(k,))
     nodes = rule.nodes
-    R = _set_factor(basis, S, nodes)
+    R = _set_factor(basis, S.regions, nodes)
     prev = cur = R.T @ R
     while 2 * nodes <= MAX_NODES:
         nodes *= 2
-        R = _set_factor(basis, S, nodes)
+        R = _set_factor(basis, S.regions, nodes)
         cur = R.T @ R
         scale = max(1.0, float(np.max(np.abs(cur))))
         if np.max(np.abs(cur - prev)) <= rule.tol * scale:

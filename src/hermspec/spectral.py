@@ -7,8 +7,10 @@ sigma_min(R_S)^2 from LAPACK's SVD, never from G_S itself: it is non-negative
 by construction and has an absolute accuracy of about machine epsilon, where
 an eigensolve on G_S returns rounding noise of either sign once the constant
 falls below 1e-16.  Cell classification localizes the Bernstein inequality on
-a covering; all comparisons against C_B happen in log space because C_B
-overflows double precision for the proof's delta.
+a covering.  Each cell gets the same kind of factor as a sensor set, an upper
+triangle T_k with T_k^T T_k its Gram, so local masses are |T_k c|^2; all
+comparisons against C_B happen in log space because C_B overflows double
+precision for the proof's delta.
 """
 
 import hashlib
@@ -20,7 +22,7 @@ import numpy as np
 from .basis import BasisIndexSet, derivative_operator, _compositions
 from .bounds import bernstein_CB_log, delta_choice
 from .errors import InputError, VerificationError
-from .gram import DEFAULT_RULE, _basis_table, _leggauss, gram_over_set, region_quadrature
+from .gram import DEFAULT_RULE, _leggauss, gram_over_set, region_triangles
 
 
 def _positive_lead(vecs):
@@ -42,17 +44,15 @@ def jacobi_eigh(A):
 
 
 def spectral_constant(G):
-    """Smallest eigenvalue and unit eigenvector of a Gram matrix.
+    """Smallest eigenvalue and unit eigenvector of a Gram matrix G = R^T R.
 
-    With a factor G = R^T R this is sigma_min(R)^2 and the matching right
-    singular vector, so it is never negative; otherwise it is read from eigh.
+    This is sigma_min(R)^2 and the matching right singular vector, so it is
+    never negative.  G must carry its factor R, as gram_over_set gives it.
     """
     if G.factor is None:
-        vals, vecs = jacobi_eigh(G.entries)
-        lam, v = float(vals[0]), vecs[:, 0]
-    else:
-        _, s, Vt = np.linalg.svd(G.factor)
-        lam, v = float(s[-1]) ** 2, _positive_lead(Vt[-1:].T)[:, 0]
+        raise InputError("spectral_constant needs G with its factor R (from gram_over_set)")
+    _, s, Vt = np.linalg.svd(G.factor)
+    lam, v = float(s[-1]) ** 2, _positive_lead(Vt[-1:].T)[:, 0]
     residual = float(np.linalg.norm(G.entries @ v - lam * v))
     if residual > 1e-10 * max(1.0, float(np.max(np.abs(G.entries)))):
         raise VerificationError(f"eigenpair residual {residual} exceeds tolerance")
@@ -76,60 +76,26 @@ def spectral_report(basis, S, rule=DEFAULT_RULE):
     return SpectralReport(basis.max_degree, basis.dimension, set_hash, lam, v)
 
 
-# Most rows in one block of cell tables: a block's temporaries stay in cache.
-CELL_BLOCK_ROWS = 2 ** 13
-
-
 class CellContext:
-    """Quadrature and basis tables of every cell, in blocks for repeated classification.
+    """Gram triangles of every cell of a covering, for repeated classification.
 
-    A block stacks the tables and weights of consecutive cells with one point
-    count, at most CELL_BLOCK_ROWS rows (or one cell).  cells[k] is the
-    (weights, table) pair of cell k, as views into its block.  Coverings list
-    cells of one size together (a lattice's cells are equal, and Besicovitch
-    balls come in descending radius), so blocks are few.
+    triangles[k] is the n x n upper triangle T_k with T_k^T T_k the Gram of
+    cell Q_k over the eval basis, built at the rule's node count as a sensor
+    set's factor is, so the local mass of c on Q_k is |T_k c|^2.  cells[k] is
+    the pair (ones, T_k), whose w @ (T_k @ c)**2 is that mass.
     """
 
     def __init__(self, covering, d, eval_degree, rule=DEFAULT_RULE):
         self.covering = covering
         self.eval_basis = BasisIndexSet(d, eval_degree)
-        self.cells = []
-        self._blocks = []
-        quads = (region_quadrature(region, rule) for region in covering.elements)
-        for run in _equal_size_runs(quads, CELL_BLOCK_ROWS):
-            n, p = len(run), run[0][1].size
-            wts = np.concatenate([w for _, w in run])
-            table = _basis_table(self.eval_basis, np.concatenate([x for x, _ in run]))
-            self._blocks.append((slice(len(self.cells), len(self.cells) + n),
-                                 wts.reshape(n, 1, p), table))
-            self.cells.extend((wts[i:i + p], table[i:i + p]) for i in range(0, n * p, p))
+        self.triangles = region_triangles(self.eval_basis, covering.elements, rule.nodes)
+        ones = np.ones(self.eval_basis.size)
+        self.cells = [(ones, T) for T in self.triangles]
 
     def cell_norms2(self, columns):
-        """Squared local L^2(Q_k) norms of each column vector, per cell.
-
-        One matmul per block; each cell's weighted sum is then its own
-        matrix-vector product, batched over the block, so every norm is
-        bitwise the one of a per-cell loop (add.reduceat would sum in
-        another order).
-        """
-        out = np.empty((len(self.cells), columns.shape[1]))
-        for ks, w, table in self._blocks:
-            vals = table @ columns
-            vals *= vals
-            out[ks] = (w @ vals.reshape(w.shape[0], w.shape[2], -1))[:, 0]
-        return out
-
-
-def _equal_size_runs(quads, max_rows):
-    """Consecutive (points, weights) pairs in runs of one point count and at most max_rows rows."""
-    run = []
-    for q in quads:
-        if run and (q[1].size != run[0][1].size or (len(run) + 1) * q[1].size > max_rows):
-            yield run
-            run = []
-        run.append(q)
-    if run:
-        yield run
+        """Squared local L^2(Q_k) norms of each column vector, per cell: one batched matmul."""
+        vals = self.triangles @ columns
+        return np.einsum("kij,kij->kj", vals, vals)
 
 
 def derivative_columns(f, m_max):
@@ -184,7 +150,10 @@ def classify_cells(f, covering, m_max=6, delta=None, rule=DEFAULT_RULE, ctx=None
     """Good/bad classification of covering cells for f, with mass fractions.
 
     A cell is good (up to m_max) when the localized Bernstein inequality
-    holds for every 1 <= m <= m_max; comparisons run in log space.
+    holds for every 1 <= m <= m_max; comparisons run in log space.  A cell
+    whose local mass is below the smallest normal double is not tested: its
+    mass is taken as 0 and the cell as good, since underflow leaves nothing
+    for the inequality to compare.
     """
     if m_max < 1:
         raise InputError("m_max must be at least 1")
@@ -198,27 +167,25 @@ def classify_cells(f, covering, m_max=6, delta=None, rule=DEFAULT_RULE, ctx=None
     norms = ctx.cell_norms2(columns)  # (ncells, ncols)
     ncells = norms.shape[0]
     mass = norms[:, group == 0].sum(axis=1)
+    tested = mass >= np.finfo(float).tiny
+    mass[~tested] = 0.0
     total = f.norm2()
 
-    kappa = covering.kappa
     good = np.ones(ncells, dtype=bool)
     first_bad = np.zeros(ncells, dtype=int)
-    with np.errstate(divide="ignore"):
-        log_mass = np.where(mass > 0, np.log(np.maximum(mass, 1e-320)), -np.inf)
+    log_mass = np.log(mass, out=np.full(ncells, -np.inf), where=tested)
     for m in range(1, m_max + 1):
         lhs = norms[:, group == m].sum(axis=1)
-        with np.errstate(divide="ignore"):
-            log_lhs = np.where(lhs > 0, np.log(np.maximum(lhs, 1e-320)), -np.inf)
+        log_lhs = np.log(lhs, out=np.full(ncells, -np.inf), where=lhs > 0)
         log_rhs = (
             (m + 1) * math.log(2.0)
-            + math.log(kappa)
+            + math.log(covering.kappa)
             + bernstein_CB_log(m, N, d, delta)
             - math.lgamma(m + 1)
             + log_mass
         )
-        bad_now = log_lhs > log_rhs
-        newly = bad_now & good
-        first_bad[newly] = m
+        bad_now = tested & (log_lhs > log_rhs)
+        first_bad[bad_now & good] = m
         good &= ~bad_now
     in_central = np.zeros(ncells, dtype=bool)
     in_central[list(covering.central)] = True
@@ -263,9 +230,7 @@ def estimate_Mk(f, region, l, sample_density=9, phases=33, radii=(0.5, 1.0),
     offsets w_j on circles of radius 4 l_j (two radius levels, fixed phase
     count), so refinement with nested grids is monotone non-decreasing.
     """
-    pts, wts = region_quadrature(region, rule)
-    vals = f.evaluate(pts)
-    local2 = float(wts @ (vals * vals))
+    local2 = float(np.sum((region_triangles(f.basis, [region], rule.nodes)[0] @ f.coeffs) ** 2))
     if local2 <= 0:
         raise InputError("degenerate cell: zero local norm")
     d = region.dimension

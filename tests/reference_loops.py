@@ -1,13 +1,13 @@
 """Loop forms of the array code in hermspec, for the tests to compare against.
 
-The ladder identity, the embedding into a larger basis and the local cell
-norms must match their loops bit for bit, and so must the chord rule of a ball
-against its recursive point form.  The set factor built box by box and point
-row by point row and the pairwise disjointness test are the forms the batched
-Gram, the chord triangles and the array overlap check replaced; the tests hold
-those to stated tolerances and to the same accept/reject decisions.  The
-pointwise tensor function, the iterated derivative and the covering's overlap
-count are oracles only the tests use.
+The ladder identity and the embedding into a larger basis must match their
+loops bit for bit, and so must the chord rule of a ball against its recursive
+point form.  The per-cell quadrature tables, the set factor built box by box
+and point row by point row, and the pairwise disjointness test are the forms
+the per-cell Gram triangles, the batched Gram, the chord triangles and the
+array overlap check replaced; the tests hold those to stated tolerances and to
+the same accept/reject decisions.  The pointwise tensor function, the iterated
+derivative and the covering's overlap count are oracles only the tests use.
 """
 
 import math

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 import warnings
 
 import pytest
@@ -357,7 +358,19 @@ def test_basis_check_subcommand(tmp_path):
     ))
     assert main(["basis-check", "--config", cfg]) == 0
     manifest = (tmp_path / "out" / "manifest.txt").read_text()
-    assert "FAIL" not in manifest
+    assert "FAIL" not in manifest and "ladder-norm pass" in manifest
+
+
+def test_basis_check_fails_on_a_perturbed_ladder(tmp_path, monkeypatch):
+    def perturbed(f, axis):
+        df = derivative_operator_loop(f, axis)
+        return HermiteVector(df.basis, df.coeffs * (1.0 + 1e-8))
+
+    monkeypatch.setattr(cli, "derivative_operator", perturbed)
+    cfg = write(tmp_path, "bc.cfg",
+                f"dimension = 2\ndegree_max = 3\nout_dir = {tmp_path / 'out'}\n")
+    assert main(["basis-check", "--config", cfg]) == 1
+    assert "ladder-norm FAIL" in (tmp_path / "out" / "manifest.txt").read_text()
 
 
 _BOX = "dimension = 1\ndegree_max = 2\nregion = box 0.0 1.0\n"
@@ -439,26 +452,65 @@ def test_set_nodes_reaches_classify_cells(tmp_path, monkeypatch):
     assert seen == [48, 8]
 
 
-@pytest.mark.parametrize("sub, text", [
-    # delta = 1 turns cells with nonzero mass bad, so bad_mass_fraction has digits
-    ("classify", "covering = lattice\ndegree_max = 8\nm_max = 5\nseed = 21\ndelta = 1.0\n"),
-    ("classify", "covering = besicovitch\ndegree_max = 6\nm_max = 4\nseed = 22\n"
-                 "gamma = 0.5\neps = 0.5\nR = 1.0\n"),
-    ("bernstein", "degree_max = 12\nm_max = 6\nseed = 23\n"),
-])
-def test_cli_outputs_match_the_loop_reference_byte_for_byte(tmp_path, monkeypatch, sub, text):
+def _run_loop_reference(tmp_path, monkeypatch, sub, text):
+    """Outputs of sub on text with the array code, then with the loop forms patched in."""
     def run(name):
         out = tmp_path / name
         cfg = write(tmp_path, f"{name}.cfg",
                     f"dimension = 1\nsamples = 12\nout_dir = {out}\n" + text)
         assert main([sub, "--config", cfg]) == 0
-        return {p: (out / p).read_bytes() for p in (f"{sub}.csv", "manifest.txt")}
+        return {p: (out / p).read_text() for p in (f"{sub}.csv", "manifest.txt")}
 
     fast = run("fast")
     monkeypatch.setattr(cli, "CellContext", LoopCellContext)
     monkeypatch.setattr(spectral, "derivative_operator", derivative_operator_loop)
     monkeypatch.setattr(HermiteVector, "embedded", embedded_loop)
-    assert run("loops") == fast
+    return fast, run("loops")
+
+
+@pytest.mark.parametrize("sub, text", [
+    ("bernstein", "degree_max = 12\nm_max = 6\nseed = 23\n"),
+])
+def test_cli_outputs_match_the_loop_reference_byte_for_byte(tmp_path, monkeypatch, sub, text):
+    fast, loops = _run_loop_reference(tmp_path, monkeypatch, sub, text)
+    assert loops == fast
+
+
+@pytest.mark.parametrize("text", [
+    # delta = 1 turns cells with nonzero mass bad, so bad_mass_fraction has digits
+    "covering = lattice\ndegree_max = 8\nm_max = 5\nseed = 21\ndelta = 1.0\n",
+    "covering = besicovitch\ndegree_max = 6\nm_max = 4\nseed = 22\n"
+    "gamma = 0.5\neps = 0.5\nR = 1.0\n",
+], ids=["lattice", "besicovitch"])
+def test_classify_outputs_match_the_loop_reference(tmp_path, monkeypatch, text):
+    """Cell counts and flips agree exactly; mass fractions to rounding of the cell norms."""
+    fast, loops = _run_loop_reference(tmp_path, monkeypatch, "classify", text)
+    assert [line.split()[:2] for line in fast["manifest.txt"].splitlines()] == [
+        line.split()[:2] for line in loops["manifest.txt"].splitlines()]
+    rows = [[line.split(",") for line in out["classify.csv"].splitlines()]
+            for out in (fast, loops)]
+    assert rows[0][0] == rows[1][0] and len(rows[0]) == len(rows[1]) == 13
+    for got, want in zip(rows[0][1:], rows[1][1:]):
+        assert got[0] == want[0] and got[3:] == want[3:]  # sample, good_cells, max_flip_m
+        assert [float(v) for v in got[1:3]] == pytest.approx([float(v) for v in want[1:3]],
+                                                             rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("d, N, m_max, rho", [(2, 4, 3, 8.0), (3, 1, 2, 16.0)])
+def test_classify_lattice_in_d2_and_d3_within_64_mb(tmp_path, d, N, m_max, rho):
+    cfg = write(tmp_path, "cl.cfg", (
+        f"dimension = {d}\ndegree_max = {N}\nm_max = {m_max}\nrho = {rho}\nsamples = 2\n"
+        f"covering = lattice\nout_dir = {tmp_path / 'out'}\n"
+    ))
+    tracemalloc.start()
+    try:
+        assert main(["classify", "--config", cfg]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    rows = (tmp_path / "out" / "classify.csv").read_text().splitlines()
+    assert len(rows) == 3
 
 
 def test_cli_manifest_names_each_check(tmp_path):

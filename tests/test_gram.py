@@ -26,7 +26,7 @@ from hermspec.geometry import halfline_window
 from hermspec import gram
 from hermspec.gram import (MAX_NODES, MAX_PANELS, MAX_RULE_POINTS, PANEL_MAX, QR_BLOCK_ROWS,
                            _ball_chords, _ball_rows, _hermgauss, _leggauss, _set_factor,
-                           region_quadrature)
+                           region_quadrature, region_triangles)
 from hermspec.rng import SplitMix64
 from reference_loops import ball_points_loop, ball_rows_loop, joined, set_factor_loop
 
@@ -291,7 +291,7 @@ FACTOR_CASES = {
 def test_batched_box_factor_matches_per_box_loop(case):
     basis, S = FACTOR_CASES[case]()
     for nodes in (64, 128):
-        R = _set_factor(basis, S, nodes)
+        R = _set_factor(basis, S.regions, nodes)
         R_ref = set_factor_loop(basis, S, nodes)
         G, G_ref = R.T @ R, R_ref.T @ R_ref
         assert np.max(np.abs(G - G_ref)) <= 1e-14 * np.max(np.abs(G_ref))
@@ -330,7 +330,7 @@ def test_chord_factor_matches_point_rows(case, nodes, chords, monkeypatch):
     G_ref = sum(F.T @ F for F in wide).astype(float)
     for budget in (gram.CHORD_POINTS, chords * nodes):
         monkeypatch.setattr(gram, "CHORD_POINTS", budget)
-        R = _set_factor(basis, SensorSet((ball,)), nodes)
+        R = _set_factor(basis, [ball], nodes)
         assert np.max(np.abs(R.T @ R - G_ref)) <= 1e-14 * np.max(np.abs(G_ref))
 
 
@@ -351,7 +351,7 @@ def test_chord_chunks_are_bounded_by_rule_points():
 def test_1d_ball_rows_are_its_interval_triangle():
     basis = BasisIndexSet(1, 5)
     (F,) = _ball_rows(basis, Region.ball((1.2,), 0.7), 64)
-    (B,) = gram._box_rows(basis, [Region.box((1.2,), (0.7,))], 64)
+    (B,) = next(gram._box_triangles(basis, [Region.box((1.2,), (0.7,))], 64))
     assert F.tobytes() == B.tobytes()
 
 
@@ -361,11 +361,13 @@ def test_1d_ball_rows_are_its_interval_triangle():
     Region.ball((0.0, 0.0), (MAX_PANELS * PANEL_MAX + 1.0) / 2.0),
 ])
 def test_huge_region_is_refused_before_allocation(region):
-    # the Gram and the point rule both refuse it, holding under 1 MB meanwhile
+    # the Gram, the cell triangles and the point rule all refuse it, holding under 1 MB meanwhile
     tracemalloc.start()
     try:
         with pytest.raises(InputError, match=rf"^{region.kind} \(.*panels per axis"):
             gram_over_set(BasisIndexSet(region.dimension, 2), SensorSet((region,)))
+        with pytest.raises(InputError, match=rf"^{region.kind} \(.*panels per axis"):
+            region_triangles(BasisIndexSet(region.dimension, 2), [region], 64)
         with pytest.raises(InputError, match=rf"^{region.kind} \(.*panels per axis"):
             region_quadrature(region)
         assert tracemalloc.get_traced_memory()[1] < 2 ** 20
