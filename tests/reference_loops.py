@@ -17,7 +17,8 @@ import numpy as np
 from hermspec.basis import BasisIndexSet, HermiteVector
 from hermspec.basis import derivative_operator, eval_phi, eval_phi_table
 from hermspec.gram import (DEFAULT_RULE, QR_BLOCK_ROWS, _alpha_matrix, _basis_table, _leggauss,
-                           _square, _triangle, axis_quadrature, region_quadrature)
+                           _square, _triangle, axis_quadrature, region_quadrature,
+                           region_triangles)
 
 
 def _positions(basis):
@@ -89,6 +90,23 @@ class LoopCellContext:
         for k, (wts, table) in enumerate(self.cells):
             vals = table @ columns
             out[k] = wts @ (vals * vals)
+        return out
+
+
+class TriangleLoopCellContext:
+    """Each cell's Gram triangle built cells_per_call cells at a time; norms one cell at a time."""
+
+    def __init__(self, covering, d, eval_degree, rule=DEFAULT_RULE, cells_per_call=1):
+        basis = BasisIndexSet(d, eval_degree)
+        cells = covering.elements
+        self.triangles = [T for s in range(0, len(cells), cells_per_call)
+                          for T in region_triangles(basis, cells[s:s + cells_per_call], rule.nodes)]
+
+    def cell_norms2(self, columns):
+        out = np.empty((len(self.triangles), columns.shape[1]))
+        for k, T in enumerate(self.triangles):
+            vals = T @ columns
+            out[k] = np.einsum("ij,ij->j", vals, vals)
         return out
 
 

@@ -31,7 +31,7 @@ from hermspec.gram import QuadratureRule
 from hermspec.rng import SplitMix64
 from hermspec.spectral import CellContext
 from mpmath_reference import mpmath_lam_min
-from reference_loops import LoopCellContext, derivative_multi
+from reference_loops import LoopCellContext, TriangleLoopCellContext, derivative_multi
 
 
 def test_jacobi_against_numpy_eigh():
@@ -187,6 +187,35 @@ def test_cell_norms2_match_the_per_cell_loop(kind, d, N, m_max):
             loop = classify_cells(f, cov, m_max=m_max, delta=delta, ctx=ref)
             assert np.array_equal(fast.good, loop.good)
             assert np.array_equal(fast.first_bad_m, loop.first_bad_m)
+
+
+@pytest.mark.parametrize("cells_per_call", [2 ** 13, 100, 1])
+@pytest.mark.parametrize("kind", ["lattice", "besicovitch"])
+def test_cell_norms2_matches_the_per_cell_loop_bitwise(kind, cells_per_call):
+    # a cell's triangle does not depend on the cells built beside it: the
+    # 163 lattice cells cross region_triangles' box chunks of QR_BLOCK_ROWS // 11
+    d, N, m_max = 1, 6, 4
+    if kind == "lattice":
+        cov = lattice_covering(1.0, d, N, kappa=1)
+    else:
+        spec = BallDensitySpec(gamma=0.5, alpha=0.0, eps=0.5, R=1.0, profile="power")
+        cov = besicovitch_covering(spec, d, N, K=16)
+    rule = QuadratureRule(nodes=24)
+    ctx = CellContext(cov, d, N + m_max, rule)
+    ref = TriangleLoopCellContext(cov, d, N + m_max, rule, cells_per_call)
+    assert len(ref.triangles) == len(ctx.cells) == len(cov.elements)
+    for (w, T), T_ref in zip(ctx.cells, ref.triangles):
+        assert T.tobytes() == T_ref.tobytes() and w.tobytes() == np.ones(len(T)).tobytes()
+    rng = SplitMix64(53)
+    basis = BasisIndexSet(d, N)
+    for _ in range(5):
+        f = HermiteVector(basis, rng.unit_coeffs(basis.size))
+        columns, _ = derivative_columns(f, m_max)
+        assert ctx.cell_norms2(columns).tobytes() == ref.cell_norms2(columns).tobytes()
+        got = classify_cells(f, cov, m_max=m_max, ctx=ctx)
+        want = classify_cells(f, cov, m_max=m_max, ctx=ref)
+        assert got.local_mass.tobytes() == want.local_mass.tobytes()
+        assert np.array_equal(got.first_bad_m, want.first_bad_m)
 
 
 def test_cells_with_underflowing_mass_are_good_and_massless():
