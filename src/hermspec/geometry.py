@@ -6,6 +6,7 @@ the overlap bound kappa, the shape parameters (eta, D, eps) and the tags of
 the central elements (those meeting the concentration ball B(0, C sqrt(N))).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -14,9 +15,11 @@ import numpy as np
 from .bounds import concentration_radius, unit_ball_volume
 from .errors import InputError, ResolutionError
 
-# ceiling on the grid of a Besicovitch covering, and its band size
+# ceiling on the grid of a Besicovitch covering, its band size, and the side
+# of its blocks in grid points (8 h = rho(0))
 MAX_GRID_POINTS = 2 ** 27
 _BAND_POINTS = 2 ** 16
+_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -434,21 +437,31 @@ def besicovitch_covering(spec, d, N, K=16):
     Rasterizes A at resolution h = rho(0) / 8 and visits A's grid points in
     descending rho(.), ties in ascending flat (row-major) index; each point
     not yet covered becomes the center of a ball of radius rho(.).  The visit
-    order is built band by band, never over the whole grid:
+    order is built band by band, never over the whole grid at once:
 
     - power profile, eps < 1: rho grows with r2 = |x|^2, and r2 strictly with
       the integer q = |i|^2 of the grid index i.  Shells of about
       _BAND_POINTS points are generated walking q downward and each is sorted
       by (-rho, flat index); the points tying a shell's smallest rho wait for
       the next shell, so a tie never straddles two shells.
-    - constant radius (profile "constant", or eps = 1): flat order, in blocks
+    - constant radius (profile "constant", or eps = 1): flat order, in slabs
       of leading-axis rows.
 
-    The whole-grid state is one int16 overlap count; a point is covered when
-    its count is nonzero.  Once a ball holds all of A with a margin of one
-    grid step, no point is left uncovered and the walk stops.
-    meta["kappa_measured"] is the largest count over A's grid points; the
-    assumed overlap bound kappa = K^d enters the covering parameters.
+    The whole-grid state is one int16 overlap count, a point being covered
+    when its count is nonzero.  The power walk also keeps one bool per block
+    of _BLOCK^d grid points (_BLOCK h = rho(0)).  A block is closed once
+    every point of it is covered or outside A: blocks beyond A start closed,
+    and each ball closes the blocks it holds whole (_mark_ball).  A shell
+    enumerates its points in open blocks only (_lattice_shell), so the
+    walk's work follows the points still uncovered.  A constant-radius ball
+    (8 h) seldom holds a whole block, so the slab walk keeps no blocks and
+    tests every grid point.  meta["points_visited"] counts the grid points
+    the walk enumerated.
+    Once a ball holds all of A with a margin of one grid step, no point is
+    left uncovered and the walk stops.
+    meta["kappa_measured"] is the largest count over A's grid points, taken
+    over A's run in each row of the last axis; the assumed overlap bound
+    kappa = K^d enters the covering parameters.
     Raises ResolutionError when the grid needs more than 40000 points per
     semi-axis or more than MAX_GRID_POINTS in all.
     """
@@ -476,15 +489,19 @@ def besicovitch_covering(spec, d, N, K=16):
     overlap = np.zeros((side,) * d, dtype=np.int16)
     overlap_flat = overlap.reshape(-1)
     if spec.profile == "power" and spec.eps < 1.0:
-        bands = _shell_bands(spec, sq, d, A2, overlap_flat)
+        closed = np.zeros((-(-side // _BLOCK),) * d, dtype=bool)
+        bands = _shell_bands(spec, sq, d, A2, overlap_flat, closed)
     else:
+        closed = None
         bands = _slab_bands(float(spec.R), sq, d, A2, overlap_flat)
 
     centers = []
     center_radii = []
     holds_A = False
+    visited = 0
     # each band holds the points still uncovered when the greedy reaches it
-    for flat, radii in bands:
+    for flat, radii, enumerated in bands:
+        visited += enumerated
         if np.any(radii < h):
             raise ResolutionError("radius profile falls below the grid resolution")
         order = np.lexsort((flat, -radii))
@@ -499,16 +516,15 @@ def besicovitch_covering(spec, d, N, K=16):
             k += int(window.argmin())
             idx, r = int(flat[k]), float(radii[k])
             k += 1
-            c = (np.array(np.unravel_index(idx, overlap.shape)) - n) * h
-            _mark_ball(overlap, c, r, h, n)
+            c = axis[list(np.unravel_index(idx, overlap.shape))]
+            _mark_ball(overlap, closed, axis, c, r)
             centers.append(c)
             center_radii.append(r)
             holds_A = float(np.linalg.norm(c)) + A_radius + h <= r
         if holds_A:
             break
 
-    kappa_measured = max(int(overlap_flat[flat].max(initial=0))
-                         for flat in _row_blocks(sq, d, A2))
+    kappa_measured = _max_over_A(overlap_flat, sq, d, A2)
     elements = tuple(Region.ball(c, r) for c, r in zip(centers, center_radii))
     cov = CoveringFamily(
         elements,
@@ -522,6 +538,7 @@ def besicovitch_covering(spec, d, N, K=16):
             "A_radius": A_radius,
             "resolution": h,
             "kappa_measured": kappa_measured,
+            "points_visited": visited,
             "N": N,
             "K": K,
         },
@@ -535,103 +552,189 @@ def _axis_view(values, j, d):
     return values.reshape([-1 if k == j else 1 for k in range(d)])
 
 
-def _row_blocks(sq, d, A2):
-    """Flat indices of A's grid points, in flat order, one block of leading-axis rows at a time.
+def _block_q(side, d):
+    """Smallest and largest q = |i|^2 over the grid points of each block, as int32.
 
-    sq holds the squared axis coordinates; r2 sums them axis by axis, as the
-    membership test r2 <= A2 has always done.
+    Blocks are _BLOCK grid points a side, aligned at the grid's first
+    corner; the last block of each axis may be shorter.  The grid ceilings
+    keep q below 2^31.
+    """
+    first = np.arange(0, side, _BLOCK) - side // 2
+    last = np.minimum(first + _BLOCK, side - side // 2) - 1
+    far = np.maximum(np.abs(first), np.abs(last)) ** 2
+    near = np.where((first <= 0) & (last >= 0), 0, np.minimum(np.abs(first), np.abs(last))) ** 2
+    return tuple(sum(_axis_view(x.astype(np.int32), j, d) for j in range(d))
+                 for x in (near, far))
+
+
+def _max_over_A(overlap_flat, sq, d, A2):
+    """Largest overlap count over A's grid points: one reduce over A's run in each last-axis row.
+
+    A row's points of A are those with pre + sq[i] <= A2, where pre sums the
+    squared coordinates of the leading axes axis by axis, as every
+    membership test r2 <= A2 does; the run is symmetric about the row's
+    middle.
+    """
+    side = sq.size
+    n = side // 2
+    pre = sum((_axis_view(sq, j, d - 1) for j in range(d - 1)), np.zeros((side,) * (d - 1)))
+    pre = pre.ravel()
+    # m: last offset from the middle still in A (-1 for a row that misses A)
+    half = sq[n:]
+    m = np.searchsorted(half, A2 - pre, side="right") - 1
+    while True:  # undo the rounding of A2 - pre, one step at a time
+        out = (m >= 0) & (pre + half[np.maximum(m, 0)] > A2)
+        into = (m < n) & (pre + half[np.minimum(m + 1, n)] <= A2)
+        if not (out.any() or into.any()):
+            break
+        m += into.astype(np.int64) - out
+    rows = np.flatnonzero(m >= 0)
+    bounds = np.stack([rows * side + n - m[rows], rows * side + n + m[rows] + 1], axis=1).ravel()
+    if bounds[-1] == overlap_flat.size:
+        bounds = bounds[:-1]  # the last run reaches the end of the grid
+    return int(np.maximum.reduceat(overlap_flat, bounds)[::2].max())
+
+
+def _slab_bands(R, sq, d, A2, overlap_flat):
+    """(flat, radii, enumerated) of A's uncovered grid points for a constant radius R, in flat order.
+
+    Bands are slabs of leading-axis rows; every grid point of a slab is
+    tested (r2 <= A2 and a zero count), so enumerated is the slab's size.
+    A ball of radius R = 8 h seldom holds a whole block, so blocks would
+    skip nothing here.
     """
     side = sq.size
     row = side ** (d - 1)
     rows = max(1, _BAND_POINTS // row)
     for a in range(0, side, rows):
-        r2 = sum(_axis_view(x, j, d)
-                 for j, x in enumerate([sq[a:a + rows]] + [sq] * (d - 1)))
-        yield np.flatnonzero(r2.ravel() <= A2) + a * row
+        r2 = sum(_axis_view(x, j, d) for j, x in enumerate([sq[a:a + rows]] + [sq] * (d - 1)))
+        slab = overlap_flat[a * row:(a + rows) * row]
+        flat = np.flatnonzero((r2.ravel() <= A2) & (slab == 0)) + a * row
+        yield flat, np.full(flat.size, R), slab.size
 
 
-def _slab_bands(R, sq, d, A2, overlap_flat):
-    """(flat, radii) of A's uncovered grid points for a constant radius R, in flat order."""
-    for flat in _row_blocks(sq, d, A2):
-        flat = flat[overlap_flat[flat] == 0]
-        yield flat, np.full(flat.size, R)
+def _shell_bands(spec, sq, d, A2, overlap_flat, closed):
+    """(flat, radii, enumerated) of A's uncovered grid points for the power profile.
 
-
-def _shell_bands(spec, sq, d, A2, overlap_flat):
-    """(flat, radii) of A's uncovered grid points for the power profile, in bands of descending radius.
-
-    Every radius in a band is at least every radius in the bands after it;
-    the greedy sorts each band by (-radius, flat).  Points already covered
-    (nonzero in overlap_flat) are dropped before their radii are computed.
+    Bands come in descending radius: every radius in a band is at least
+    every radius in the bands after it, and the greedy sorts each band by
+    (-radius, flat).  A band [q_lo, q_hi] enumerates its points in the open
+    blocks whose q range meets it; closed is the block bitmap, whose blocks
+    beyond A are closed here before the first band.  Points already covered
+    are dropped before their radii are computed.
     """
     p = (1.0 - spec.eps) / 2.0
     n = sq.size // 2
-    # a band spans at least as many points as the prefixes it enumerates
+    # q of A's outermost grid points (sq[n + 1] = h^2), with a margin for rounding
+    q_hi = min(d * n * n, int(A2 / sq[n + 1] * (1.0 + 1e-9)) + 1)
+    q_min, q_max = (q.reshape(-1) for q in _block_q(sq.size, d))
+    closed_flat = closed.reshape(-1)
+    closed_flat |= q_min > q_hi
+    # open blocks in descending largest q; a band adds those reaching down to its q_lo
+    order = np.flatnonzero(~closed_flat)
+    order = order[np.argsort(-q_max[order])].astype(np.int32)
+    tops = -q_max[order]
+    added = 0
+    blocks = order[:0]
+    # a band spans at least as many points as a grid row
     per_q = max(_BAND_POINTS, sq.size ** (d - 1)) / unit_ball_volume(d)
     carry_flat = np.zeros(0, dtype=np.int64)
     carry_radii = np.zeros(0)
-    # q of A's outermost grid points (sq[n + 1] = h^2), with a margin for rounding
-    q_hi = min(d * n * n, int(A2 / sq[n + 1] * (1.0 + 1e-9)) + 1)
     while q_hi >= 0:
         q_lo = int(max(q_hi ** (d / 2.0) - per_q, 0.0) ** (2.0 / d))
-        flat, r2 = _lattice_shell(sq, d, q_lo, q_hi)
+        stop = int(np.searchsorted(tops, np.int32(-q_lo), side="right"))
+        blocks = np.concatenate([blocks, order[added:stop]])
+        added = stop
+        blocks = blocks[~closed_flat[blocks] & (q_min[blocks] <= q_hi)]
+        flat, r2 = _lattice_shell(sq, d, blocks, q_lo, q_hi)
         new = (r2 <= A2) & (overlap_flat[flat] == 0)
         kept = overlap_flat[carry_flat] == 0
+        enumerated = flat.size
         flat = np.concatenate([carry_flat[kept], flat[new]])
         radii = np.concatenate([carry_radii[kept], spec.R * (1.0 + r2[new]) ** p])
         if q_lo > 0 and flat.size:
             # points below q_lo have radii <= the smallest one here: hold back its ties
             last = radii == radii.min()
-            yield flat[~last], radii[~last]
+            yield flat[~last], radii[~last], enumerated
             carry_flat, carry_radii = flat[last], radii[last]
         else:
-            yield flat, radii
+            yield flat, radii, enumerated
         q_hi = q_lo - 1
 
 
-def _lattice_shell(sq, d, q_lo, q_hi):
-    """Flat indices and r2 of the grid points i with q_lo <= |i|^2 <= q_hi.
+def _lattice_shell(sq, d, blocks, q_lo, q_hi):
+    """Flat indices and r2 of the grid points i of the given blocks with q_lo <= |i|^2 <= q_hi.
 
-    r2 sums the squared coordinates axis by axis, as _row_blocks does.
+    blocks holds flat indices into the grid of blocks, taken at most
+    _BAND_POINTS grid points at a time.  r2 sums the squared coordinates
+    axis by axis, as every membership test r2 <= A2 does.
+    """
+    nb = -(-sq.size // _BLOCK)
+    chunk = max(1, _BAND_POINTS // _BLOCK ** d)
+    parts = [_block_rows(sq, d, np.unravel_index(blocks[s:s + chunk], (nb,) * d), q_lo, q_hi)
+             for s in range(0, blocks.size, chunk)]
+    if not parts:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def _block_rows(sq, d, coords, q_lo, q_hi):
+    """_lattice_shell for the blocks at the block coordinates coords.
+
+    Each block row (a run of _BLOCK points along the last axis) is made
+    whole, and its points off the grid or outside [q_lo, q_hi] dropped.
     """
     side = sq.size
     n = side // 2
-    m = min(n, math.isqrt(q_hi))
-    pre = np.indices((2 * m + 1,) * (d - 1)).reshape(d - 1, (2 * m + 1) ** (d - 1)) - m
-    s = (pre * pre).sum(axis=0)
-    pre, s = pre[:, s <= q_hi], s[s <= q_hi]
-    pre_flat = np.zeros(s.size, dtype=np.int64)
-    pre_r2 = np.zeros(s.size)
-    for i in pre:
-        pre_flat = pre_flat * side + (i + n)
-        pre_r2 = pre_r2 + sq[i + n]
-    hi = np.minimum(_isqrt(q_hi - s), n)
-    below = np.maximum(q_lo - s, 0)
-    lo = np.where(below > 0, _isqrt(np.maximum(below - 1, 0)) + 1, 0)
-    # the last index runs over [lo, hi] and over [-hi, -max(lo, 1)]
-    starts = np.concatenate([lo, -hi])
-    counts = np.maximum(np.concatenate([hi - lo, hi - np.maximum(lo, 1)]) + 1, 0)
-    which = np.repeat(np.arange(counts.size) % s.size, counts)
-    last = (np.repeat(starts - np.cumsum(counts) + counts, counts)
-            + np.arange(which.size) + n)
-    return pre_flat[which] * side + last, pre_r2[which] + sq[last]
+    # one entry per block row: the leading indices run over each block's _BLOCK^(d-1) rows
+    rows = _BLOCK ** (d - 1)
+    a = np.repeat(coords[-1] * _BLOCK, rows)
+    pre_flat = np.zeros(a.size, dtype=np.int64)
+    pre_r2 = np.zeros(a.size)
+    s = np.zeros(a.size, dtype=np.int64)
+    inside = np.ones(a.size, dtype=bool)
+    for b, o in zip(coords[:-1], np.indices((_BLOCK,) * (d - 1)).reshape(d - 1, rows)):
+        i = (b[:, None] * _BLOCK + o).ravel()
+        inside &= i < side
+        i = np.minimum(i, side - 1)
+        pre_flat = pre_flat * side + i
+        pre_r2 = pre_r2 + sq[i]
+        s = s + (i - n) ** 2
+    last = a[:, None] + np.arange(_BLOCK)
+    q = s[:, None] + (last - n) ** 2
+    keep = inside[:, None] & (last < side) & (q >= q_lo) & (q <= q_hi)
+    last = np.minimum(last, side - 1)
+    return (pre_flat[:, None] * side + last)[keep], (pre_r2[:, None] + sq[last])[keep]
 
 
-def _isqrt(x):
-    """Elementwise floor(sqrt(x)) of a non-negative int64 array."""
-    r = np.sqrt(x).astype(np.int64)
-    r -= r * r > x
-    r += (r + 1) * (r + 1) <= x
-    return r
+def _mark_ball(overlap, closed, axis, center, radius):
+    """Bump the overlap count of the grid points within the ball; close the blocks it fills.
 
-
-def _mark_ball(overlap, center, radius, h, n):
-    """Bump the overlap count of the grid points within the ball."""
-    d = len(center)
-    lo = np.maximum(np.floor((center - radius) / h).astype(np.int64), -n)
-    hi = np.minimum(np.ceil((center + radius) / h).astype(np.int64), n)
-    box = tuple(slice(a + n, b + n + 1) for a, b in zip(lo, hi))
-    dist2 = sum(_axis_view((np.arange(lo[j], hi[j] + 1) * h - center[j]) ** 2, j, d)
-                for j in range(d))
-    overlap[box] += dist2 <= radius ** 2
-
+    A point i is within when the terms (i_j h - c_j)**2, summed in axis
+    order, total at most radius**2.  A block closes when the largest term of
+    its points along each axis passes the same test: float addition is
+    monotone, so every point of a closed block was counted.  closed is None
+    when the walk keeps no blocks.
+    """
+    n = axis.size // 2
+    h = axis[n + 1]
+    r2 = radius ** 2
+    box, terms = [], []
+    for c in center.tolist():
+        lo = max(math.floor((c - radius) / h), -n) + n
+        hi = min(math.ceil((c + radius) / h), n) + n + 1
+        box.append(slice(lo, hi))
+        terms.append((axis[lo:hi] - c) ** 2)
+    overlap[tuple(box)] += functools.reduce(np.add.outer, terms) <= r2
+    if closed is None:
+        return
+    # per axis, the blocks lying wholly in [lo, hi) and the largest term over each
+    blocks, tops = [], []
+    for s, t in zip(box, terms):
+        b = slice(-(-s.start // _BLOCK), s.stop // _BLOCK if s.stop < axis.size else closed.shape[0])
+        if b.start >= b.stop:
+            return
+        blocks.append(b)
+        tops.append(np.maximum.reduceat(t[b.start * _BLOCK - s.start:b.stop * _BLOCK - s.start],
+                                        np.arange(0, (b.stop - b.start) * _BLOCK, _BLOCK)))
+    closed[tuple(blocks)] |= functools.reduce(np.add.outer, tops) <= r2

@@ -4,7 +4,8 @@ For a d = 1 interval union S, the Gram of E_N over S is G = C H C^T, with C
 the monomial coefficients of the normalized Hermite polynomials and
 H[i, j] = int_S t^(i+j) exp(-t^2) dt, each moment a lower incomplete gamma
 function.  The sharp constant and the observability constant of the control
-system on S are both read from that G.
+system on S are both read from that G, and the window norm of the
+counterexample x^N exp(-x^2/2) is one such moment.
 """
 
 import mpmath
@@ -55,3 +56,9 @@ def mpmath_c_obs(intervals, N, T, dps=100):
         E = mpmath.diag([mpmath.exp(-la * mpmath.mpf(T)) for la in lam])
         M = mpmath.cholesky(B) ** -1 * E
         return float(mpmath.sqrt(max(mpmath.eigsy(M.T * M, eigvals_only=True))))
+
+
+def mpmath_log_window_norm(N, M, dps=40):
+    """log int_{-M}^{M} x^(2N) exp(-x^2) dx = log gamma(N + 1/2, M^2)."""
+    with mpmath.workdps(dps):
+        return float(mpmath.log(mpmath.gammainc(N + mpmath.mpf(1) / 2, 0, mpmath.mpf(M) ** 2)))

@@ -6,8 +6,10 @@ point form.  The per-cell quadrature tables, the set factor built box by box
 and point row by point row, and the pairwise disjointness test are the forms
 the per-cell Gram triangles, the batched Gram, the chord triangles and the
 array overlap check replaced; the tests hold those to stated tolerances and to
-the same accept/reject decisions.  The pointwise tensor function, the iterated
-derivative and the covering's overlap count are oracles only the tests use.
+the same accept/reject decisions.  The covering's broadcast ball marking must
+match the lean marking that replaced it bit for bit.  The pointwise tensor
+function, the iterated derivative and the covering's overlap count are
+oracles only the tests use.
 """
 
 import math
@@ -199,3 +201,14 @@ def first_overlap_loop(regions):
             if not interiors_disjoint(regions[i], regions[j]):
                 return i, j
     return None
+
+
+def mark_ball_broadcast(overlap, center, radius, h, n):
+    """Bump the overlap count of the grid points within the ball, bounds and offsets as arrays."""
+    d = len(center)
+    lo = np.maximum(np.floor((center - radius) / h).astype(np.int64), -n)
+    hi = np.minimum(np.ceil((center + radius) / h).astype(np.int64), n)
+    box = tuple(slice(a + n, b + n + 1) for a, b in zip(lo, hi))
+    dist2 = sum((np.arange(lo[j], hi[j] + 1) * h - center[j]).reshape(
+        [-1 if k == j else 1 for k in range(d)]) ** 2 for j in range(d))
+    overlap[box] += dist2 <= radius ** 2

@@ -21,7 +21,7 @@ from hermspec import (
     unit_ball_volume,
 )
 from hermspec import geometry
-from reference_loops import first_overlap_loop, overlap_at
+from reference_loops import first_overlap_loop, mark_ball_broadcast, overlap_at
 
 
 def test_region_measures():
@@ -248,6 +248,7 @@ def _greedy_reference(spec, d, N, K=16):
     (2, 8.0, 0.5, "constant"),
     (2, 8.0, 1.0 - 1e-12, "power"),  # neighbouring q round to one float radius
     (2, 8.0, 1.0 - 1e-13, "power"),  # such ties straddle shells with uncovered points
+    (3, 64.0, 0.9, "power"),  # 95^3 grid points, 197 balls
 ])
 def test_besicovitch_matches_plain_greedy(d, R, eps, profile):
     spec = BallDensitySpec(gamma=0.5, alpha=0.0, eps=eps, R=R, profile=profile)
@@ -269,6 +270,8 @@ def test_besicovitch_memory_stays_off_the_full_grid():
     assert len(cov.elements) == 1345
     # one int16 count per grid point (23.6 MB) and band-sized work arrays
     assert peak < 32 * 2 ** 20
+    # the walk enumerates only the points of blocks no single ball holds yet
+    assert cov.meta["points_visited"] < 1_500_000 < 3437 ** 2
 
 
 def test_besicovitch_stops_once_a_ball_holds_A(monkeypatch):
@@ -287,6 +290,38 @@ def test_besicovitch_stops_once_a_ball_holds_A(monkeypatch):
     assert cov.meta["kappa_measured"] == kappa_measured == 1
     # the first ball holds all of A, so the walk ends in the outermost shell
     assert len(balls) == 1 and len(shells) == 1
+
+
+def _grid(h, n, d):
+    axis = np.arange(-n, n + 1) * h
+    closed = np.zeros((-(-axis.size // geometry._BLOCK),) * d, dtype=bool)
+    return axis, np.zeros((axis.size,) * d, dtype=np.int16), closed
+
+
+@pytest.mark.parametrize("d, n", [(1, 300), (2, 60), (3, 20)])
+def test_mark_ball_matches_the_broadcast_marking_bitwise(d, n):
+    rng = np.random.default_rng(d)
+    for h in (0.125, 0.6625, 1.0 / 3.0):
+        axis, overlap, closed = _grid(h, n, d)
+        want = overlap.copy()
+        for _ in range(40):
+            c = axis[rng.integers(0, axis.size, d)]
+            r = float(h * rng.uniform(1.0, n / 2.0))
+            geometry._mark_ball(overlap, closed, axis, c, r)
+            mark_ball_broadcast(want, c, r, h, n)
+        assert overlap.tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(d=st.integers(1, 3), h=st.sampled_from([0.6625, 0.125, 0.1, 1.0 / 3.0, 2.5]),
+       n=st.integers(1, 20), steps=st.floats(1.0, 30.0), data=st.data())
+def test_a_closed_block_holds_only_points_its_ball_counted(d, h, n, steps, data):
+    axis, overlap, closed = _grid(h, n, d)
+    c = axis[[data.draw(st.integers(0, 2 * n)) for _ in range(d)]]
+    geometry._mark_ball(overlap, closed, axis, c, steps * h)
+    block = geometry._BLOCK
+    held = np.kron(closed, np.ones((block,) * d, dtype=bool))[(slice(0, 2 * n + 1),) * d]
+    assert np.all(overlap[held] == 1)
 
 
 def test_ball_density_spec_profiles():
