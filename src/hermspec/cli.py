@@ -195,7 +195,9 @@ def _sensor_set(cfg):
             gamma=_get(cfg, "gamma"), beta=_get(cfg, "beta"),
             rho=cfg.get("rho", 1.0), d=d,
         )
-        S, _ = example_finite_measure_set(spec, cfg.get("window_radius", 16.0))
+        # by default 8 beyond the turning radius sqrt(2N + d), as fullspace_window
+        window = cfg.get("window_radius", max(16.0, math.sqrt(2.0 * N + d) + 8.0))
+        S, _ = example_finite_measure_set(spec, window)
         return S
     raise ConfigError(f"unknown set kind '{kind}'")
 

@@ -13,12 +13,7 @@ class InputError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge; carries the last two iterates."""
-
-    def __init__(self, message, previous=None, current=None):
-        super().__init__(message)
-        self.previous = previous
-        self.current = current
+    """A quadrature Gram missed its closed-form reference at every node count."""
 
 
 class ResolutionError(RuntimeError):

@@ -9,17 +9,20 @@ substitution removes the square-root ends, so the integrand is smooth in theta.
 Every region yields rows F with F^T F equal to its Gram.  A box gives the n x n
 Hadamard product of its per-axis triangles qr(sqrt(w) phi(x)), QR_BLOCK_ROWS // n
 boxes at a time folded pairwise.  A chord gives N + 1 rows: its weight and basis
-values in x' times its interval's axis triangle (a 3-D ball at N = 4: 0.7 s, not
-5.6 s as a row per rule point).  Householder QR compresses a set's rows into one
-triangle R_S, G_S = R_S^T R_S, so each Gram is PSD and lam_min = sigma_min(R_S)^2.
-region_triangles keeps one such triangle per region instead, for the local
-masses of covering cells.  Full-space weighted Grams use scaled Gauss-Hermite
-nodes, exact for polynomials.
+values in x' times its interval's axis triangle.  Householder QR compresses a
+set's rows into one triangle R_S, G_S = R_S^T R_S, so each Gram is PSD and
+lam_min = sigma_min(R_S)^2.  region_triangles keeps one such triangle per region
+instead, for the local masses of covering cells.
+
+A set's factor is built once, at the rule's node count, and checked against
+closed-form moments int_a^b phi_p phi_q: exact for boxes, the chord rule on two
+panels of the theta rule with exact chords for balls.  Full-space weighted Grams
+use scaled Gauss-Hermite nodes, exact for polynomials.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -34,7 +37,8 @@ MAX_NODES = 2048
 PANEL_MAX = 4.0
 # Rows per Householder QR update; larger blocks raise peak memory.
 QR_BLOCK_ROWS = 512
-# Rule points behind one chunk of ball chords; larger chunks raise peak memory.
+# Rule points behind one chunk of ball chords, and (N + 1) times the chords in
+# one chunk of a ball's reference; larger chunks raise peak memory.
 CHORD_POINTS = 2048
 # Caps on the panels of an axis rule (the half-line window has 74) and region_quadrature points.
 MAX_PANELS, MAX_RULE_POINTS = 1024, 2 ** 24
@@ -80,21 +84,22 @@ def axis_quadrature(a, b, nodes):
     return _panel_rule(a, b, max(1, math.ceil((b - a) / PANEL_MAX)), nodes)
 
 
-def _ball_chords(center, r, nodes):
-    """The nodes^(d-1) chords of the chord rule on |x - center| <= r: x', factors, a, b.
+def _ball_chords(center, r, nodes, panels=1):
+    """The (panels * nodes)^(d-1) chords of the chord rule on |x - center| <= r: x', factors, a, b.
 
-    Level j sets x_j = c_j + rho sin(theta) at theta = (pi/2) t for Gauss-Legendre
-    nodes t, leaving radius rho cos(theta) and a weight factor (pi/2) w rho cos(theta);
-    a chord's d-1 factors (outermost first) multiply to its weight.  A 1-D ball is one chord.
+    Level j sets x_j = c_j + rho sin(theta) at theta = (pi/2) t for the Gauss-Legendre
+    nodes t of `panels` equal panels of [-1, 1], leaving radius rho cos(theta) and a
+    weight factor (pi/2) w rho cos(theta); a chord's d-1 factors (outermost first)
+    multiply to its weight.  A 1-D ball is one chord.
     """
-    t, w = _leggauss(nodes)
+    t, w = _panel_rule(-1.0, 1.0, panels, nodes)
     theta, w = 0.5 * math.pi * t, 0.5 * math.pi * w  # math.sin, as the recursion: same bits
     sin, cos = (np.array([fn(v) for v in theta]) for fn in (math.sin, math.cos))
     rho, x, f = np.array([float(r)]), np.empty((1, 0)), np.empty((1, 0))
     for c in center[:-1]:
-        x = np.column_stack([np.repeat(x, nodes, axis=0), (c + np.outer(rho, sin)).ravel()])
+        x = np.column_stack([np.repeat(x, len(t), axis=0), (c + np.outer(rho, sin)).ravel()])
         rho = np.outer(rho, cos).ravel()
-        f = np.column_stack([np.repeat(f, nodes, axis=0), np.tile(w, len(f)) * rho])
+        f = np.column_stack([np.repeat(f, len(t), axis=0), np.tile(w, len(f)) * rho])
     return x, f, center[-1] - rho, center[-1] + rho
 
 
@@ -215,6 +220,33 @@ def _axis_triangles(max_degree, a, b, nodes):
     return out
 
 
+def _interval_moments(max_degree, a, b):
+    """Exact matrices M_i[p, q] = int_{a_i}^{b_i} phi_p phi_q, shape (k, m, m).
+
+    Off the diagonal, Green's identity for -phi'' + t^2 phi = (2k+1) phi gives
+    [phi_p' phi_q - phi_p phi_q']_a^b / (2 (q - p)), with phi_k' = sqrt(k/2)
+    phi_(k-1) - sqrt((k+1)/2) phi_(k+1); the diagonal steps from (erf b - erf a) / 2,
+    by erfc in the tails, by the ladder identity
+    int phi_q^2 = int phi_(q-1)^2 - [phi_(q-1) phi_q]_a^b / sqrt(2q).
+    """
+    m = max_degree + 1
+    k = np.arange(m)
+    P = eval_phi_table(m, np.stack([a, b]))
+    dP = -np.sqrt((k + 1) / 2.0) * P[..., 1:]
+    dP[..., 1:] += np.sqrt(k[1:] / 2.0) * P[..., :-2]
+    X = dP[1, :, :, None] * P[1, :, None, :m] - dP[0, :, :, None] * P[0, :, None, :m]
+    diff = 2.0 * (k[None, :] - k[:, None])
+    M = (X - X.transpose(0, 2, 1)) / np.where(diff != 0, diff, 1.0)
+    M[:, 0, 0] = 0.5 * np.array([
+        math.erfc(x) - math.erfc(y) if x >= 0.0 else
+        math.erfc(-y) - math.erfc(-x) if y <= 0.0 else math.erf(y) - math.erf(x)
+        for x, y in zip(a.tolist(), b.tolist())])
+    for q in range(1, m):
+        jump = P[1, :, q - 1] * P[1, :, q] - P[0, :, q - 1] * P[0, :, q]
+        M[:, q, q] = M[:, q - 1, q - 1] - jump / math.sqrt(2.0 * q)
+    return M
+
+
 def _fold(F):
     """Upper triangle T with T^T T = sum_i F_i^T F_i over a stack F of (k, n, n) triangles.
 
@@ -229,12 +261,13 @@ def _fold(F):
     return F[0]
 
 
-def _box_triangles(basis, boxes, nodes):
-    """Stacked n x n upper triangles F_i, F_i^T F_i the Gram of box i, QR_BLOCK_ROWS // n at a time.
+def _box_products(basis, boxes, axis):
+    """Stacked n x n products F_i[b, a] = prod_j A_ij[b_j, a_j], QR_BLOCK_ROWS // n boxes at a time.
 
-    A box Gram is the Hadamard product of per-axis moment matrices A_j = R_j^T R_j;
-    R_j is upper triangular and the basis graded, so the Hadamard product of the
-    R_j[alpha_j, beta_j] is an n x n upper triangle whose Gram is that product.
+    axis(N, a, b) gives the (k, m, m) matrices A_ij of k intervals on axis j.
+    Given axis triangles R_j, F_i is an n x n upper triangle whose Gram is the
+    Hadamard product of the R_j^T R_j, box i's Gram (R_j is upper triangular and
+    the basis graded); given exact interval moments, F_i is box i's Gram itself.
     """
     n, m = basis.size, basis.max_degree + 1
     alph = _alpha_matrix(basis)
@@ -245,8 +278,8 @@ def _box_triangles(basis, boxes, nodes):
         h = np.array([box.half_sides for box in boxes[s:s + step]])
         F = np.ones((len(c), n * n))
         for j in range(basis.dimension):
-            R = _axis_triangles(basis.max_degree, c[:, j] - h[:, j], c[:, j] + h[:, j], nodes)
-            F *= R.reshape(len(c), m * m)[:, flat[j]]
+            A = axis(basis.max_degree, c[:, j] - h[:, j], c[:, j] + h[:, j])
+            F *= A.reshape(len(c), m * m)[:, flat[j]]
         yield F.reshape(len(c), n, n)
 
 
@@ -260,7 +293,8 @@ def region_triangles(basis, regions, nodes):
         _check_size(max(regions, key=lambda r: max(r.bounding_halfwidths())), nodes)
     out = np.empty((len(regions), basis.size, basis.size))
     boxes, done = [k for k, region in enumerate(regions) if region.kind == "box"], 0
-    for F in _box_triangles(basis, [regions[k] for k in boxes], nodes):
+    for F in _box_products(basis, [regions[k] for k in boxes],
+                           partial(_axis_triangles, nodes=nodes)):
         out[boxes[done:done + len(F)]] = F
         done += len(F)
     for k, region in enumerate(regions):
@@ -272,7 +306,8 @@ def region_triangles(basis, regions, nodes):
 def _set_factor(basis, regions, nodes):
     """n x n upper triangle R_S with R_S^T R_S the Gram of the regions' union at this node count."""
     R = np.empty((0, basis.size))
-    for F in _box_triangles(basis, [r for r in regions if r.kind == "box"], nodes):
+    boxes = [r for r in regions if r.kind == "box"]
+    for F in _box_products(basis, boxes, partial(_axis_triangles, nodes=nodes)):
         R = _triangle(R, _fold(F))
     for region in regions:
         if region.kind == "ball":
@@ -281,24 +316,52 @@ def _set_factor(basis, regions, nodes):
     return _square(R)
 
 
+def _reference_gram(basis, regions, nodes):
+    """The Gram of the regions' union from exact interval moments, to check a factor at nodes.
+
+    A box's Gram is the Hadamard product of its exact axis moment matrices, in
+    the factor's chunks of boxes.  A ball's is its chord rule at 2 * nodes theta
+    nodes, two panels of the factor's rule (no new Gauss-Legendre eigenproblem),
+    chord k adding W_k phi(x'_k) phi(x'_k)^T o M_k[alpha_d, beta_d] with M_k the
+    exact moments on [a_k, b_k], CHORD_POINTS // (N + 1) chords at a time.
+    """
+    N = basis.max_degree
+    G = np.zeros((basis.size, basis.size))
+    for F in _box_products(basis, [r for r in regions if r.kind == "box"], _interval_moments):
+        G += F.sum(axis=0)
+    last = _alpha_matrix(basis)[:, -1]
+    step = max(1, CHORD_POINTS // (N + 1))
+    for region in regions:
+        if region.kind == "ball":
+            x, f, a, b = _ball_chords(region.center, region.radius, nodes, panels=2)
+            for s in range(0, len(a), step):
+                u = np.sqrt(np.prod(f[s:s + step], axis=1))[:, None] * _basis_table(
+                    basis, x[s:s + step])
+                M = _interval_moments(N, a[s:s + step], b[s:s + step])
+                for q in range(N + 1):
+                    G[:, last == q] += (u * M[:, last, q]).T @ u[:, last == q]
+    return G
+
+
 def gram_over_set(basis, S, rule=DEFAULT_RULE):
-    """Gram matrix over a sensor set and its factor, refined by node doubling up to MAX_NODES."""
+    """Gram matrix over a sensor set and its factor R_S at rule.nodes, checked against a reference.
+
+    Every entry of R_S^T R_S must lie within rule.tol * max(1, max|ref|) of
+    _reference_gram; on failure the node count doubles, up to MAX_NODES.
+    """
     if S.regions:  # the panel cap binds first on the longest side
         k = max(range(len(S.regions)), key=lambda i: max(S.regions[i].bounding_halfwidths()))
         _check_size(S.regions[k], rule.nodes, regions=(k,))
     nodes = rule.nodes
-    R = _set_factor(basis, S.regions, nodes)
-    prev = cur = R.T @ R
-    while 2 * nodes <= MAX_NODES:
-        nodes *= 2
+    while True:
         R = _set_factor(basis, S.regions, nodes)
-        cur = R.T @ R
-        scale = max(1.0, float(np.max(np.abs(cur))))
-        if np.max(np.abs(cur - prev)) <= rule.tol * scale:
-            return GramMatrix(basis, 0.5 * (cur + cur.T), R)  # symmetrize roundoff
-        prev = cur
-    raise QuadratureError(f"no convergence at {nodes} nodes (doubling stops at {MAX_NODES})",
-                          previous=prev, current=cur)
+        G, ref = R.T @ R, _reference_gram(basis, S.regions, nodes)
+        if np.max(np.abs(G - ref)) <= rule.tol * max(1.0, float(np.max(np.abs(ref)))):
+            return GramMatrix(basis, 0.5 * (G + G.T), R)  # symmetrize roundoff
+        if 2 * nodes > MAX_NODES:
+            raise QuadratureError(f"no convergence at {nodes} nodes "
+                                  f"(doubling stops at {MAX_NODES})")
+        nodes *= 2
 
 
 def _weighted_axis_matrix(max_degree, w):

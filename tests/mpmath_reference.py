@@ -11,8 +11,11 @@ counterexample x^N exp(-x^2/2) is one such moment.
 import mpmath
 
 
-def mpmath_gram(intervals, N):
-    """G over a d = 1 interval union at the working precision, as an mpmath matrix."""
+def mpmath_gram(intervals, N, rows=None):
+    """G over a d = 1 interval union at the working precision, as an mpmath matrix.
+
+    rows, a list of degrees, keeps only those rows of G: C[rows] H C^T.
+    """
     C = mpmath.zeros(N + 1, N + 1)
     for n in range(N + 1):
         norm = mpmath.sqrt(2 ** n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
@@ -30,7 +33,13 @@ def mpmath_gram(intervals, N):
     for i in range(N + 1):
         for j in range(N + 1):
             H[i, j] = mu[i + j]
-    return C * H * C.T
+    if rows is None:
+        return C * H * C.T
+    Cr = mpmath.matrix(len(rows), N + 1)
+    for i, n in enumerate(rows):
+        for j in range(N + 1):
+            Cr[i, j] = C[n, j]
+    return Cr * H * C.T
 
 
 def mpmath_lam_min(intervals, N, dps=80):

@@ -4,10 +4,10 @@ import warnings
 
 import pytest
 
-from hermspec import cli, spectral
+from hermspec import BasisIndexSet, Region, SensorSet, cli, gram, spectral
 from hermspec.basis import HermiteVector
 from hermspec.cli import main, parse_config
-from hermspec.errors import ConfigError
+from hermspec.errors import ConfigError, QuadratureError
 from hermspec.spectral import CellContext
 from mpmath_reference import mpmath_log_window_norm
 from reference_loops import LoopCellContext, derivative_operator_loop, embedded_loop
@@ -161,6 +161,56 @@ def test_cli_exit_2_on_nodes_above_ceiling(tmp_path, capsys):
     assert main(["spectral", "--config", cfg, "--set", "nodes=4096"]) == 2
     assert "config error: quadrature rule: nodes must be between 1 and 2048" in (
         capsys.readouterr().err)
+
+
+def _drop_last_region(monkeypatch):
+    factor = gram._set_factor
+    monkeypatch.setattr(gram, "_set_factor", lambda basis, regions, nodes:
+                        factor(basis, regions[:-1], nodes))
+
+
+def _scale_gauss_weights(monkeypatch):
+    rule = gram._leggauss
+    monkeypatch.setattr(gram, "_leggauss", lambda n: (rule(n)[0], rule(n)[1] * (1.0 + 1e-6)))
+
+
+@pytest.mark.parametrize("plant", [_drop_last_region, _scale_gauss_weights])
+@pytest.mark.parametrize("regions", [
+    ["box -1.5 0.0 1.0 1.0", "box 1.5 0.5 0.4 0.8"],
+    ["ball 0.3 -0.2 0.9"],
+    ["ball 0.3 -0.2 0.9", "box 2.4 0.0 0.5 0.6"],
+], ids=["box_pair", "disc", "disc_and_box"])
+def test_planted_quadrature_faults_fail_the_gram_check(tmp_path, capsys, monkeypatch, plant,
+                                                       regions):
+    # A factor that misses a region or weighs every node 1e-6 too much agrees
+    # with itself at twice the nodes, but not with the closed-form reference.
+    # Doubling stops at 128 nodes here, so each failure is quick.
+    plant(monkeypatch)
+    monkeypatch.setattr(gram, "MAX_NODES", 128)
+    S = SensorSet(tuple(Region.from_line(line, 2) for line in regions))
+    with pytest.raises(QuadratureError, match="no convergence at 128 nodes"):
+        gram.gram_over_set(BasisIndexSet(2, 3), S)
+    cfg = write(tmp_path, "q.cfg", "dimension = 2\ndegree_max = 3\n" + "".join(
+        f"region = {line}\n" for line in regions) + f"out_dir = {tmp_path / 'out'}\n")
+    assert main(["spectral", "--config", cfg]) == 1
+    assert "verification failure: no convergence" in capsys.readouterr().err
+
+
+def test_finite_measure_default_window_clears_the_turning_radius(tmp_path):
+    # At N = 160 the turning radius sqrt(2N + 1) = 17.9 passes the old fixed
+    # window 16, which gave lam_min 1.2590e-13; windows 24 and 32 agree with
+    # the default sqrt(321) + 8 = 25.9 to 1e-11.
+    cfg = write(tmp_path, "w.cfg", (
+        "dimension = 1\n"
+        "degree_max = 160\n"
+        "set = finite_measure\n"
+        "gamma = 0.5\n"
+        "beta = 0.5\n"
+        f"out_dir = {tmp_path / 'out'}\n"
+    ))
+    assert main(["spectral", "--config", cfg]) == 0
+    rows = (tmp_path / "out" / "spectral.csv").read_text().splitlines()
+    assert float(rows[1].split(",")[3]) == pytest.approx(3.24071847e-12, rel=1e-6)
 
 
 def test_spectral_halfline_example(tmp_path):

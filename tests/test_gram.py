@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -25,9 +26,10 @@ from hermspec import (
 from hermspec.geometry import halfline_window
 from hermspec import gram
 from hermspec.gram import (MAX_NODES, MAX_PANELS, MAX_RULE_POINTS, PANEL_MAX, QR_BLOCK_ROWS,
-                           _ball_chords, _ball_rows, _hermgauss, _leggauss, _set_factor,
-                           region_quadrature, region_triangles)
+                           _ball_chords, _ball_rows, _hermgauss, _interval_moments, _leggauss,
+                           _set_factor, region_quadrature, region_triangles)
 from hermspec.rng import SplitMix64
+from mpmath_reference import mpmath_gram
 from reference_loops import ball_points_loop, ball_rows_loop, joined, set_factor_loop
 
 
@@ -51,6 +53,17 @@ def test_interval_gram_against_mpmath():
             assert G.entries[a, b] == pytest.approx(
                 gram_entry_oracle(a, b, -0.7, 1.9), abs=1e-12
             )
+
+
+@pytest.mark.parametrize("a, b, N, rows", [
+    (-0.7, 1.9, 40, None), (0.3, 2.0, 40, None), (-3.0, -1.0, 40, None), (30.0, 40.0, 40, None),
+    (0.5, 0.5 + 1e-6, 40, None), (-7.0, 2.5, 160, [160])])
+def test_interval_moments_against_mpmath(a, b, N, rows):
+    # straddling 0, a >= 0, b <= 0, far out, a width of 1e-6, and the last row at N = 160
+    M = _interval_moments(N, np.array([a]), np.array([b]))[0]
+    with mpmath.workdps(250):
+        exact = np.array(mpmath_gram([(a, b)], N, rows).tolist(), dtype=float)
+    assert np.max(np.abs((M if rows is None else M[rows]) - exact)) <= 1e-13
 
 
 def test_gram_union_is_sum_of_pieces():
@@ -351,7 +364,8 @@ def test_chord_chunks_are_bounded_by_rule_points():
 def test_1d_ball_rows_are_its_interval_triangle():
     basis = BasisIndexSet(1, 5)
     (F,) = _ball_rows(basis, Region.ball((1.2,), 0.7), 64)
-    (B,) = next(gram._box_triangles(basis, [Region.box((1.2,), (0.7,))], 64))
+    (B,) = next(gram._box_products(basis, [Region.box((1.2,), (0.7,))],
+                                   partial(gram._axis_triangles, nodes=64)))
     assert F.tobytes() == B.tobytes()
 
 
