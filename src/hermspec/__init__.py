@@ -31,7 +31,6 @@ from .geometry import (
     Region,
     SensorSet,
     besicovitch_covering,
-    density_check,
     example_finite_measure_set,
     lattice_covering,
 )
@@ -48,12 +47,9 @@ from .bounds import (
     unit_ball_volume,
 )
 from .gram import (
-    DEFAULT_RULE,
     GramMatrix,
-    QuadratureRule,
     gram_fullspace_weighted,
     gram_over_set,
-    norm2_over_set,
     scaling_identity_check,
 )
 from .spectral import (

@@ -19,8 +19,8 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import acceptance
-from .acceptance import CriterionResult, results_csv, run_criteria, criterion_13
-from .basis import BasisIndexSet, HermiteVector, derivative_operator, eval_phi_table
+from .acceptance import CriterionResult, _derivative_norm2, results_csv, run_criteria, criterion_13
+from .basis import BasisIndexSet, HermiteVector, derivative_operator
 from .bounds import (
     BoundParams,
     bernstein_CB_log,
@@ -51,7 +51,7 @@ from .geometry import (
     halfline_window,
     lattice_covering,
 )
-from .gram import QuadratureRule, _hermgauss, gram_over_set, gram_fullspace_weighted
+from .gram import gram_over_set, gram_fullspace_weighted
 from .rng import SplitMix64
 from .spectral import (
     CellContext,
@@ -78,11 +78,11 @@ def _count(text):
 
 # `region` repeats; every other key takes its last value
 _SCHEMA = {
-    **dict.fromkeys(("dimension", "degree_max", "seed", "nodes", "K", "N_min", "N_max"), int),
+    **dict.fromkeys(("dimension", "degree_max", "seed", "K", "N_min", "N_max"), int),
     **dict.fromkeys(("samples", "m_max"), _count),
     **dict.fromkeys((
-        "quad_tol", "delta", "T", "C1", "C2", "C3", "gamma", "beta", "alpha", "rho", "R",
-        "eps", "kappa", "eta", "D", "zeta", "d0", "d1", "M", "weight", "window_radius",
+        "delta", "T", "C1", "C2", "C3", "gamma", "beta", "alpha", "rho", "R", "eps",
+        "kappa", "eta", "D", "zeta", "d0", "d1", "M", "weight", "window_radius",
     ), _finite),
     **dict.fromkeys(("set", "covering", "profile", "out_dir", "region"), str),
 }
@@ -153,15 +153,6 @@ def _get(cfg, key):
     raise _MissingKey(key)
 
 
-def _quad_rule(cfg):
-    """The QuadratureRule of the keys cfg sets; QuadratureRule's defaults fill in the rest."""
-    fields = {"nodes": "nodes", "quad_tol": "tol"}
-    try:
-        return QuadratureRule(**{f: cfg[k] for k, f in fields.items() if k in cfg})
-    except InputError as exc:
-        raise ConfigError(f"quadrature rule: {exc}") from None
-
-
 def _ball_spec(cfg):
     return BallDensitySpec(
         gamma=_get(cfg, "gamma"), alpha=cfg.get("alpha", 0.0),
@@ -197,8 +188,7 @@ def _sensor_set(cfg):
         )
         # by default 8 beyond the turning radius sqrt(2N + d), as fullspace_window
         window = cfg.get("window_radius", max(16.0, math.sqrt(2.0 * N + d) + 8.0))
-        S, _ = example_finite_measure_set(spec, window)
-        return S
+        return example_finite_measure_set(spec, window)
     raise ConfigError(f"unknown set kind '{kind}'")
 
 
@@ -237,19 +227,6 @@ def _emit(cfg, sub, header, rows, checks):
 
 def _check(name, passed, value, tolerance):
     return CriterionResult(0, name, bool(passed), float(value), float(tolerance))
-
-
-def _derivative_norm2(f):
-    """||d/dx_0 f||^2 over R^d without the ladder: phi_k' = sqrt(2k) phi_(k-1) - x phi_k
-    (from H_k' = 2k H_(k-1)) by N + 2 Gauss-Hermite nodes, exact; other axes are orthonormal.
-    """
-    N, alph = f.basis.max_degree, np.asarray(f.basis.indices)
-    u, w = _hermgauss(N + 2)
-    P = eval_phi_table(N, u) * np.exp(0.5 * u * u)[:, None]  # polynomial parts
-    dP = np.sqrt(2.0 * np.arange(N + 1)) * np.pad(P[:, :-1], ((0, 0), (1, 0))) - u[:, None] * P
-    D = ((dP.T * w) @ dP)[np.ix_(alph[:, 0], alph[:, 0])]
-    D *= np.all(alph[:, None, 1:] == alph[None, :, 1:], axis=-1)
-    return float(f.coeffs @ D @ f.coeffs)
 
 
 def cmd_basis_check(cfg):
@@ -330,7 +307,7 @@ def cmd_gram(cfg):
     N = _get(cfg, "degree_max")
     basis = BasisIndexSet(d, N)
     with _inline_lines(cfg):
-        G = gram_over_set(basis, _sensor_set(cfg), _quad_rule(cfg))
+        G = gram_over_set(basis, _sensor_set(cfg))
     defect = G.symmetry_defect()
     checks = [_check("gram-symmetry", defect <= 1e-12, defect, 1e-12)]
     header = [str(i) for i in range(basis.size)]
@@ -342,7 +319,7 @@ def cmd_spectral(cfg):
     N = _get(cfg, "degree_max")
     basis = BasisIndexSet(d, N)
     with _inline_lines(cfg):
-        report = spectral_report(basis, _sensor_set(cfg), _quad_rule(cfg))
+        report = spectral_report(basis, _sensor_set(cfg))
     rows = [(report.N, report.d, report.set_hash, report.lam_min)]
     checks = [_check("spectral-positive", report.lam_min > 0, report.lam_min, 0.0)]
     return _emit(cfg, "spectral", ("N", "d", "set_hash", "lam_min"), rows, checks)
@@ -364,8 +341,7 @@ def cmd_classify(cfg):
         cov = lattice_covering(cfg.get("rho", 1.0), d, N, kappa=int(kappa))
     else:
         raise ConfigError(f"unknown covering '{covering}'")
-    # cells take 48 nodes unless the config sets `nodes`
-    ctx = CellContext(cov, d, N + m_max, _quad_rule({"nodes": 48, **cfg}))
+    ctx = CellContext(cov, d, N + m_max)
     rng = SplitMix64(_get(cfg, "seed"))
     rows = []
     worst_bad = 0.0
@@ -468,7 +444,7 @@ def cmd_control(cfg):
     samples = _get(cfg, "samples")
     basis = BasisIndexSet(d, N)
     with _inline_lines(cfg):
-        G_S = gram_over_set(basis, _sensor_set(cfg), _quad_rule(cfg))
+        G_S = gram_over_set(basis, _sensor_set(cfg))
     problem = ControlProblem(basis, G_S, T)
     cobs = problem.observability_constant()
     rng = SplitMix64(_get(cfg, "seed"))

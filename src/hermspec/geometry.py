@@ -289,18 +289,11 @@ class CoveringFamily:
     def dimension(self):
         return self.elements[0].dimension
 
-    def side_lengths(self, k):
-        """The l_k vector of the element's enclosing hyperrectangle."""
-        return self.elements[k].side_lengths()
-
     def validate(self, N):
-        """Check the covering-shape hypotheses on the constructed family."""
-        d = self.dimension
-        if self.eta > d * unit_ball_volume(d) + 1e-12:
-            raise InputError("eta exceeds d * tau_d")
+        """Check ||l_k||_1 <= D N^((1-eps)/2) on the central elements (eta: on construction)."""
         cap = self.D * N ** ((1.0 - self.eps) / 2.0)
         for k in self.central:
-            l1 = sum(self.side_lengths(k))
+            l1 = sum(self.elements[k].side_lengths())
             if l1 > cap * (1 + 1e-12):
                 raise InputError(f"element {k}: ||l_k||_1 = {l1} exceeds D N^((1-eps)/2) = {cap}")
         return True
@@ -327,8 +320,7 @@ def example_finite_measure_set(spec, window_radius):
 
     Each unit cell then carries relative measure r_k^d = gamma^(1+|k|^beta),
     meeting the cube density condition with equality.  Materializes lattice
-    points with |k|_inf <= window_radius.  Returns the set together with the
-    exact per-cell ratios.
+    points with |k|_inf <= window_radius.
     """
     if window_radius <= 0:
         raise InputError("window_radius must be positive")
@@ -337,12 +329,10 @@ def example_finite_measure_set(spec, window_radius):
     d = spec.d
     kmax = int(math.floor(window_radius))
     regions = []
-    ratios = {}
     for k in multi_indices_window(d, kmax):
         r_k = spec.gamma ** ((1.0 + float(np.linalg.norm(k)) ** spec.beta) / d)
         regions.append(Region.box(k, (r_k / 2.0,) * d))
-        ratios[k] = r_k ** d
-    return SensorSet(tuple(regions)), ratios
+    return SensorSet(tuple(regions))
 
 
 def multi_indices_window(d, kmax):
@@ -352,42 +342,6 @@ def multi_indices_window(d, kmax):
     for rng in ranges:
         out = [pref + (k,) for pref in out for k in rng]
     return out
-
-
-@dataclass(frozen=True)
-class DensityCellReport:
-    cell: tuple
-    measured: float
-    required: float
-    ok: bool
-
-
-def density_check(S, spec, window_radius):
-    """Exact per-lattice-cell density ratios of a box-union set against a CubeDensitySpec."""
-    for r in S.regions:
-        if r.kind == "ball":
-            raise InputError("exact intersection volumes require box regions; rasterize balls first")
-    d = spec.d
-    rho = spec.rho
-    kmax = int(math.floor(window_radius / rho))
-    cell_volume = rho ** d
-    reports = []
-    for ik in multi_indices_window(d, kmax):
-        k = tuple(rho * i for i in ik)
-        inter = 0.0
-        for r in S.regions:
-            vol = 1.0
-            for j in range(d):
-                lo = max(k[j] - rho / 2.0, r.center[j] - r.half_sides[j])
-                hi = min(k[j] + rho / 2.0, r.center[j] + r.half_sides[j])
-                vol *= max(hi - lo, 0.0)
-                if vol == 0.0:
-                    break
-            inter += vol
-        measured = inter / cell_volume
-        required = spec.required_ratio(k)
-        reports.append(DensityCellReport(k, measured, required, measured >= required - 1e-12))
-    return reports, all(rep.ok for rep in reports)
 
 
 def lattice_covering(rho, d, N, kappa=1, window_margin=None):

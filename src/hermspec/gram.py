@@ -14,10 +14,12 @@ set's rows into one triangle R_S, G_S = R_S^T R_S, so each Gram is PSD and
 lam_min = sigma_min(R_S)^2.  region_triangles keeps one such triangle per region
 instead, for the local masses of covering cells.
 
-A set's factor is built once, at the rule's node count, and checked against
-closed-form moments int_a^b phi_p phi_q: exact for boxes, the chord rule on two
-panels of the theta rule with exact chords for balls.  Full-space weighted Grams
-use scaled Gauss-Hermite nodes, exact for polynomials.
+This module owns every node count and tolerance.  A set's factor is built at
+NODES and checked to QUAD_TOL against closed-form moments int_a^b phi_p phi_q:
+exact for boxes, the chord rule on two panels of the theta rule with exact
+chords for balls; on a failed check the node count doubles, up to MAX_NODES.
+Cell triangles are built at CELL_NODES and not checked.  Full-space weighted
+Grams use scaled Gauss-Hermite nodes, exact for polynomials.
 """
 
 import math
@@ -30,9 +32,14 @@ from .basis import BasisIndexSet, _frozen, eval_phi_table
 from .errors import InputError, QuadratureError
 
 
+# A set's factor starts at NODES Gauss-Legendre nodes per panel and must meet its
+# reference to QUAD_TOL * max(1, max|ref|).
+NODES, QUAD_TOL = 64, 1e-11
 # Node doubling stops here: Gauss-Legendre nodes come from an n x n eigenproblem
 # (numpy leggauss takes about 0.7 s at 2048 nodes and 4.5 s at 4096).
 MAX_NODES = 2048
+# Nodes per panel of a covering cell's Gram triangle, which nothing checks.
+CELL_NODES = 48
 # Longest panel of an axis rule: the fixed node count then resolves the Gaussian.
 PANEL_MAX = 4.0
 # Rows per Householder QR update; larger blocks raise peak memory.
@@ -42,21 +49,6 @@ QR_BLOCK_ROWS = 512
 CHORD_POINTS = 2048
 # Caps on the panels of an axis rule (the half-line window has 74) and region_quadrature points.
 MAX_PANELS, MAX_RULE_POINTS = 1024, 2 ** 24
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    nodes: int = 64
-    tol: float = 1e-11
-
-    def __post_init__(self):
-        if not 1 <= self.nodes <= MAX_NODES:
-            raise InputError(f"nodes must be between 1 and {MAX_NODES}")
-        if self.tol <= 0:
-            raise InputError("tol must be positive")
-
-
-DEFAULT_RULE = QuadratureRule()
 
 
 @lru_cache(maxsize=64)
@@ -103,38 +95,43 @@ def _ball_chords(center, r, nodes, panels=1):
     return x, f, center[-1] - rho, center[-1] + rho
 
 
-def _check_size(region, nodes, max_points=math.inf, regions=()):
-    """Raise InputError naming the region if its rule passes MAX_PANELS on an axis or max_points.
+def _check_size(regions, nodes, max_points=math.inf):
+    """Raise InputError if the longest region's rule passes MAX_PANELS on an axis or max_points.
 
-    regions, the region's index in its set if any, goes with the error.
+    The panel cap binds first on the longest side; the error names that
+    region and carries its index.
     """
+    if not regions:
+        return
+    k = max(range(len(regions)), key=lambda i: max(regions[i].bounding_halfwidths()))
+    region = regions[k]
     sides = region.side_lengths()  # a ball has nodes^(d-1) chords, none longer than its diameter
     panels = [max(1, math.ceil(min(s, PANEL_MAX * (MAX_PANELS + 1)) / PANEL_MAX)) for s in sides]
     points = nodes ** len(sides) * (panels[0] if region.kind == "ball" else math.prod(panels))
     if max(panels) > MAX_PANELS or points > max_points:
         cap = f"{max_points} points" if points > max_points else f"{MAX_PANELS} panels per axis"
         raise InputError(f"{region.kind} {region.center} {region.radius or region.half_sides}: "
-                         f"its quadrature rule at {nodes} nodes passes the cap of {cap}", regions)
+                         f"its quadrature rule at {nodes} nodes passes the cap of {cap}", (k,))
 
 
-def region_quadrature(region, rule=DEFAULT_RULE):
-    """Full point/weight set for integrating a generic integrand over a region."""
-    _check_size(region, rule.nodes, MAX_RULE_POINTS)
+def region_quadrature(region, nodes):
+    """Points and weights at nodes per panel for integrating a generic integrand over a region."""
+    _check_size([region], nodes, MAX_RULE_POINTS)
     if region.dimension == 1:  # an interval, be it a box or a ball
         (c,), (h,) = region.center, region.bounding_halfwidths()
-        x, w = axis_quadrature(c - h, c + h, rule.nodes)
+        x, w = axis_quadrature(c - h, c + h, nodes)
         return x[:, None], w
     if region.kind == "ball":
-        x, f, a, b = _ball_chords(region.center, region.radius, rule.nodes)
+        x, f, a, b = _ball_chords(region.center, region.radius, nodes)
         pts, wts = [], []
         for xk, fk, ak, bk in zip(x, f, a, b):
-            t, w = axis_quadrature(ak, bk, rule.nodes)
+            t, w = axis_quadrature(ak, bk, nodes)
             for fj in fk[::-1]:  # innermost level first, as the recursive rule did
                 w = fj * w
             pts.append(np.column_stack([np.tile(xk, (len(t), 1)), t]))
             wts.append(w)
         return np.concatenate(pts), np.concatenate(wts)
-    x, w = zip(*(axis_quadrature(c - h, c + h, rule.nodes)
+    x, w = zip(*(axis_quadrature(c - h, c + h, nodes)
                  for c, h in zip(region.center, region.half_sides)))
     p = np.stack([g.ravel() for g in np.meshgrid(*x, indexing="ij")], axis=1)
     return p, np.prod(np.meshgrid(*w, indexing="ij"), axis=0).ravel()
@@ -289,8 +286,7 @@ def region_triangles(basis, regions, nodes):
     Boxes are built as for a set; a ball's chord rows go through Householder QR
     into its own triangle.  The squared L^2 norm of c over region k is |T_k c|^2.
     """
-    if regions:  # the panel cap binds first on the longest side
-        _check_size(max(regions, key=lambda r: max(r.bounding_halfwidths())), nodes)
+    _check_size(regions, nodes)
     out = np.empty((len(regions), basis.size, basis.size))
     boxes, done = [k for k, region in enumerate(regions) if region.kind == "box"], 0
     for F in _box_products(basis, [regions[k] for k in boxes],
@@ -343,20 +339,18 @@ def _reference_gram(basis, regions, nodes):
     return G
 
 
-def gram_over_set(basis, S, rule=DEFAULT_RULE):
-    """Gram matrix over a sensor set and its factor R_S at rule.nodes, checked against a reference.
+def gram_over_set(basis, S):
+    """Gram matrix over a sensor set and its factor R_S at NODES, checked against a reference.
 
-    Every entry of R_S^T R_S must lie within rule.tol * max(1, max|ref|) of
+    Every entry of R_S^T R_S must lie within QUAD_TOL * max(1, max|ref|) of
     _reference_gram; on failure the node count doubles, up to MAX_NODES.
     """
-    if S.regions:  # the panel cap binds first on the longest side
-        k = max(range(len(S.regions)), key=lambda i: max(S.regions[i].bounding_halfwidths()))
-        _check_size(S.regions[k], rule.nodes, regions=(k,))
-    nodes = rule.nodes
+    _check_size(S.regions, NODES)
+    nodes = NODES
     while True:
         R = _set_factor(basis, S.regions, nodes)
         G, ref = R.T @ R, _reference_gram(basis, S.regions, nodes)
-        if np.max(np.abs(G - ref)) <= rule.tol * max(1.0, float(np.max(np.abs(ref)))):
+        if np.max(np.abs(G - ref)) <= QUAD_TOL * max(1.0, float(np.max(np.abs(ref)))):
             return GramMatrix(basis, 0.5 * (G + G.T), R)  # symmetrize roundoff
         if 2 * nodes > MAX_NODES:
             raise QuadratureError(f"no convergence at {nodes} nodes "
@@ -389,24 +383,19 @@ def gram_fullspace_weighted(basis, w):
     return GramMatrix(basis, G)
 
 
-def _norm2_over_region(f, region, rule, scale=1.0):
-    """Integral of f(x / scale)^2 over a region by direct quadrature."""
-    pts, wts = region_quadrature(region, rule)
+def _norm2_over_region(f, region, scale):
+    """Integral of f(x / scale)^2 over a region by direct quadrature at NODES."""
+    pts, wts = region_quadrature(region, NODES)
     vals = f.evaluate(pts / scale)
     return float(wts @ (vals * vals))
 
 
-def norm2_over_set(f, S, rule=DEFAULT_RULE):
-    """Squared L^2(S) norm of a HermiteVector by direct quadrature."""
-    return sum((_norm2_over_region(f, region, rule) for region in S.regions), 0.0)
-
-
-def scaling_identity_check(f, S, t, rule=DEFAULT_RULE):
+def scaling_identity_check(f, S, t):
     """Both sides of ||f||_(L2(S))^2 = integral over t^(1/4) S of t^(-d/4) f(t^(-1/4) x)^2 dx."""
     if not 0 < t < math.inf:
         raise InputError("t must be positive and finite")
-    lhs = gram_over_set(f.basis, S, rule).quadratic_form(f.coeffs)
+    lhs = gram_over_set(f.basis, S).quadratic_form(f.coeffs)
     scale, d = t ** 0.25, f.basis.dimension
-    rhs = sum((_norm2_over_region(f, region.scaled(scale), rule, scale) * t ** (-d / 4.0)
+    rhs = sum((_norm2_over_region(f, region.scaled(scale), scale) * t ** (-d / 4.0)
               for region in S.regions), 0.0)
     return lhs, rhs, abs(lhs - rhs)

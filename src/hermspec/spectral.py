@@ -22,7 +22,8 @@ import numpy as np
 from .basis import BasisIndexSet, derivative_operator, _compositions
 from .bounds import bernstein_CB_log, delta_choice
 from .errors import InputError, VerificationError
-from .gram import DEFAULT_RULE, gram_over_set, region_triangles
+from . import gram
+from .gram import gram_over_set, region_triangles
 
 
 # cells per batched matmul in CellContext.cell_norms2
@@ -72,9 +73,9 @@ class SpectralReport:
     minimizer: np.ndarray
 
 
-def spectral_report(basis, S, rule=DEFAULT_RULE):
+def spectral_report(basis, S):
     """Sharp constant for the set S on E_N."""
-    G = gram_over_set(basis, S, rule)
+    G = gram_over_set(basis, S)
     lam, v = spectral_constant(G)
     set_hash = hashlib.sha256(S.to_text().encode()).hexdigest()[:16]
     return SpectralReport(basis.max_degree, basis.dimension, set_hash, lam, v)
@@ -84,15 +85,15 @@ class CellContext:
     """Gram triangles of every cell of a covering, for repeated classification.
 
     triangles[k] is the n x n upper triangle T_k with T_k^T T_k the Gram of
-    cell Q_k over the eval basis, built at the rule's node count as a sensor
-    set's factor is, so the local mass of c on Q_k is |T_k c|^2.  cells[k] is
+    cell Q_k over the eval basis, built at gram.CELL_NODES as a sensor set's
+    factor is, so the local mass of c on Q_k is |T_k c|^2.  cells[k] is
     the pair (ones, T_k), whose w @ (T_k @ c)**2 is that mass.
     """
 
-    def __init__(self, covering, d, eval_degree, rule=DEFAULT_RULE):
+    def __init__(self, covering, d, eval_degree):
         self.covering = covering
         self.eval_basis = BasisIndexSet(d, eval_degree)
-        self.triangles = region_triangles(self.eval_basis, covering.elements, rule.nodes)
+        self.triangles = region_triangles(self.eval_basis, covering.elements, gram.CELL_NODES)
         ones = np.ones(self.eval_basis.size)
         self.cells = [(ones, T) for T in self.triangles]
 
@@ -157,7 +158,7 @@ class CellClassification:
         return int(flips.max()) if flips.size else 0
 
 
-def classify_cells(f, covering, m_max=6, delta=None, rule=DEFAULT_RULE, ctx=None):
+def classify_cells(f, covering, m_max=6, delta=None, ctx=None):
     """Good/bad classification of covering cells for f, with mass fractions.
 
     A cell is good (up to m_max) when the localized Bernstein inequality
@@ -173,7 +174,7 @@ def classify_cells(f, covering, m_max=6, delta=None, rule=DEFAULT_RULE, ctx=None
     if delta is None:
         delta = delta_choice(covering.D, max(N, 1), covering.eps)
     if ctx is None:
-        ctx = CellContext(covering, d, N + m_max, rule)
+        ctx = CellContext(covering, d, N + m_max)
     columns, group = derivative_columns(f, m_max)
     norms = ctx.cell_norms2(columns)  # (ncells, ncols)
     ncells = norms.shape[0]
@@ -233,15 +234,14 @@ def mass_intersection_check(f, classification):
     return MassIntersection(mass, ratio, int(sel.sum()), False)
 
 
-def estimate_Mk(f, region, l, sample_density=9, phases=33, radii=(0.5, 1.0),
-                rule=DEFAULT_RULE):
+def estimate_Mk(f, region, l, sample_density=9, phases=33, radii=(0.5, 1.0)):
     """Sampled lower bound for the normalized polydisc supremum of f on a cell.
 
     Samples z = x + w with x on a real grid over the closed cell and complex
     offsets w_j on circles of radius 4 l_j (two radius levels, fixed phase
     count), so refinement with nested grids is monotone non-decreasing.
     """
-    local2 = float(np.sum((region_triangles(f.basis, [region], rule.nodes)[0] @ f.coeffs) ** 2))
+    local2 = float(np.sum((region_triangles(f.basis, [region], gram.NODES)[0] @ f.coeffs) ** 2))
     if local2 <= 0:
         raise InputError("degenerate cell: zero local norm")
     d = region.dimension

@@ -18,9 +18,9 @@ import numpy as np
 
 from hermspec.basis import BasisIndexSet, HermiteVector
 from hermspec.basis import derivative_operator, eval_phi, eval_phi_table
-from hermspec.gram import (DEFAULT_RULE, QR_BLOCK_ROWS, _alpha_matrix, _basis_table, _leggauss,
-                           _square, _triangle, axis_quadrature, region_quadrature,
-                           region_triangles)
+from hermspec import gram
+from hermspec.gram import (QR_BLOCK_ROWS, _alpha_matrix, _basis_table, _leggauss, _square,
+                           _triangle, axis_quadrature, region_quadrature, region_triangles)
 
 
 def _positions(basis):
@@ -77,14 +77,14 @@ def embedded_loop(f, max_degree):
 
 
 class LoopCellContext:
-    """Each cell's own quadrature and basis table; norms by one product per cell."""
+    """Each cell's own quadrature (at gram.CELL_NODES) and basis table; one product per cell."""
 
-    def __init__(self, covering, d, eval_degree, rule=DEFAULT_RULE):
+    def __init__(self, covering, d, eval_degree):
         self.covering = covering
         self.eval_basis = BasisIndexSet(d, eval_degree)
         self.cells = []
         for region in covering.elements:
-            pts, wts = region_quadrature(region, rule)
+            pts, wts = region_quadrature(region, gram.CELL_NODES)
             self.cells.append((wts, _basis_table(self.eval_basis, pts)))
 
     def cell_norms2(self, columns):
@@ -96,13 +96,15 @@ class LoopCellContext:
 
 
 class TriangleLoopCellContext:
-    """Each cell's Gram triangle built cells_per_call cells at a time; norms one cell at a time."""
+    """Each cell's Gram triangle at gram.CELL_NODES, built cells_per_call cells at a time.
 
-    def __init__(self, covering, d, eval_degree, rule=DEFAULT_RULE, cells_per_call=1):
-        basis = BasisIndexSet(d, eval_degree)
-        cells = covering.elements
+    Norms are taken one cell at a time.
+    """
+
+    def __init__(self, covering, d, eval_degree, cells_per_call=1):
+        basis, cells, nodes = BasisIndexSet(d, eval_degree), covering.elements, gram.CELL_NODES
         self.triangles = [T for s in range(0, len(cells), cells_per_call)
-                          for T in region_triangles(basis, cells[s:s + cells_per_call], rule.nodes)]
+                          for T in region_triangles(basis, cells[s:s + cells_per_call], nodes)]
 
     def cell_norms2(self, columns):
         out = np.empty((len(self.triangles), columns.shape[1]))

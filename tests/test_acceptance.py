@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from hermspec import acceptance, cli
+from hermspec import HermiteVector, acceptance, cli
 from hermspec.cli import main
 
 
@@ -40,6 +40,20 @@ def test_criterion_03_concentration():
 def test_criterion_04_bernstein():
     r = _run(acceptance.criterion_04)
     assert r.passed, r.manifest_line()
+
+
+def test_criterion_04_fails_on_a_perturbed_ladder(monkeypatch):
+    # the oracle integrates phi_k' = sqrt(2k) phi_(k-1) - x phi_k, not the ladder
+    ladder = acceptance.derivative_operator
+
+    def perturbed(f, axis):
+        df = ladder(f, axis)
+        return HermiteVector(df.basis, df.coeffs * (1.0 + 1e-6))
+
+    monkeypatch.setattr(acceptance, "derivative_operator", perturbed)
+    r = acceptance.criterion_04()
+    assert not r.passed
+    assert float(r.details.split("=")[1]) > 1e-6
 
 
 def test_criterion_05_bad_mass_and_intersection():

@@ -4,10 +4,11 @@ import warnings
 
 import pytest
 
-from hermspec import BasisIndexSet, Region, SensorSet, cli, gram, spectral
+from hermspec import BasisIndexSet, Region, SensorSet, acceptance, cli, gram, spectral
 from hermspec.basis import HermiteVector
 from hermspec.cli import main, parse_config
 from hermspec.errors import ConfigError, QuadratureError
+from hermspec.gram import region_triangles
 from hermspec.spectral import CellContext
 from mpmath_reference import mpmath_log_window_norm
 from reference_loops import LoopCellContext, derivative_operator_loop, embedded_loop
@@ -126,41 +127,17 @@ def test_cli_size_cap_error_names_its_config_line(tmp_path, capsys, subcommand):
     assert err.rstrip().endswith("(line 5: region 'ball 0.0 1e15')")
 
 
-def test_cli_exit_1_on_quadrature_failure(tmp_path, capsys):
-    # no tolerance below roundoff can be met: every doubling is one more failure
+def test_cli_exit_1_on_quadrature_failure(tmp_path, capsys, monkeypatch):
+    # no tolerance below roundoff can be met: doubling from 64 nodes stops at the ceiling
+    monkeypatch.setattr(gram, "QUAD_TOL", 1e-20)
     cfg = write(tmp_path, "q.cfg", (
         "dimension = 1\n"
         "degree_max = 2\n"
         "region = box 0.0 1.0\n"
         f"out_dir = {tmp_path / 'out'}\n"
     ))
-    assert main(["spectral", "--config", cfg, "--set", "nodes=1",
-                 "--set", "quad_tol=1e-300"]) == 1
-    assert "verification failure: no convergence" in capsys.readouterr().err
-
-
-def test_cli_exit_1_on_unreachable_tolerance_at_default_nodes(tmp_path, capsys):
-    # doubling from the default 64 nodes stops at the node ceiling
-    cfg = write(tmp_path, "q.cfg", (
-        "dimension = 1\n"
-        "degree_max = 2\n"
-        "region = box 0.0 1.0\n"
-        f"out_dir = {tmp_path / 'out'}\n"
-    ))
-    assert main(["spectral", "--config", cfg, "--set", "quad_tol=1e-20"]) == 1
-    assert "no convergence at 2048 nodes" in capsys.readouterr().err
-
-
-def test_cli_exit_2_on_nodes_above_ceiling(tmp_path, capsys):
-    cfg = write(tmp_path, "q.cfg", (
-        "dimension = 1\n"
-        "degree_max = 2\n"
-        "region = box 0.0 1.0\n"
-        f"out_dir = {tmp_path / 'out'}\n"
-    ))
-    assert main(["spectral", "--config", cfg, "--set", "nodes=4096"]) == 2
-    assert "config error: quadrature rule: nodes must be between 1 and 2048" in (
-        capsys.readouterr().err)
+    assert main(["spectral", "--config", cfg]) == 1
+    assert "verification failure: no convergence at 2048 nodes" in capsys.readouterr().err
 
 
 def _drop_last_region(monkeypatch):
@@ -451,10 +428,14 @@ _BOX = "dimension = 1\ndegree_max = 2\nregion = box 0.0 1.0\n"
     ("classify", "dimension = 1\ndegree_max = 2\ncovering = besicovich\n", [], "covering", ""),
     ("control", _BOX + "T = nan\n", [], "T", "line 4"),
     ("spectral", _BOX + "quad_tol = nan\n", [], "quad_tol", "line 4"),
+    # gram.py owns the node count and the tolerance: even their defaults are unknown keys
+    ("spectral", _BOX + "nodes = 64\n", [], "unknown key 'nodes'", "line 4"),
+    ("spectral", _BOX, ["quad_tol=1e-11"], "unknown key 'quad_tol'", "--set 'quad_tol=1e-11'"),
     ("counterexample", "M = 2\nN_min = 1\nN_max = 1\n", [], "N_max", ""),
     ("counterexample", "M = 2\nN_min = 20\nN_max = 10\n", [], "N_max", ""),
 ], ids=["set-nodes-abc", "R-inf", "delta-nan", "m_max-0", "samples-0", "covering-typo",
-        "T-nan", "quad_tol-nan", "N-range-1..1", "N-range-20..10"])
+        "T-nan", "quad_tol-nan", "nodes-unknown", "set-quad_tol-unknown", "N-range-1..1",
+        "N-range-20..10"])
 def test_cli_exit_2_on_bad_input(tmp_path, capsys, sub, config, overrides, key, where):
     cfg = write(tmp_path, "p.cfg", config + f"out_dir = {tmp_path / 'out'}\n")
     argv = [sub, "--config", cfg]
@@ -489,32 +470,45 @@ def test_set_and_config_line_give_the_same_cfg():
     assert [v for _, v in from_file.pop("region")] == [v for _, v in from_set.pop("region")]
     assert from_file == from_set
     assert [type(from_set[k]) for k in ("dimension", "T", "samples")] == [int, float, int]
-    for bad in ("samples=0", "T=inf", "nodes=1.5"):
+    for bad in ("samples=0", "T=inf", "K=1.5"):
         with pytest.raises(ConfigError, match=bad.split("=")[0]):
             parse_config(bad.replace("=", " = ") + "\n")
         with pytest.raises(ConfigError, match=bad.split("=")[0]):
             parse_config("", [bad])
 
 
-def test_set_nodes_reaches_classify_cells(tmp_path, monkeypatch):
-    seen = []
+@pytest.mark.parametrize("sub", ["classify", "report"])
+def test_cells_are_built_at_CELL_NODES(tmp_path, monkeypatch, sub):
+    # classify and report's lattice suite build their cells at 48 nodes, read at call time
+    built = []
 
     class RecordingContext(CellContext):
-        def __init__(self, covering, d, eval_degree, rule):
-            seen.append(rule.nodes)
-            super().__init__(covering, d, eval_degree, rule)
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
 
-    monkeypatch.setattr(cli, "CellContext", RecordingContext)
-    cfg = write(tmp_path, "cl.cfg", (
-        "dimension = 1\n"
-        "degree_max = 4\n"
-        "m_max = 2\n"
-        "samples = 2\n"
-        f"out_dir = {tmp_path / 'out'}\n"
-    ))
-    assert main(["classify", "--config", cfg]) == 0
-    assert main(["classify", "--config", cfg, "--set", "nodes=8"]) == 0
-    assert seen == [48, 8]
+    if sub == "classify":
+        monkeypatch.setattr(cli, "CellContext", RecordingContext)
+        cfg = write(tmp_path, "cl.cfg", (
+            "dimension = 1\n"
+            "degree_max = 4\n"
+            "m_max = 2\n"
+            "samples = 2\n"
+            f"out_dir = {tmp_path / 'out'}\n"
+        ))
+        assert main(["classify", "--config", cfg]) == 0
+    else:
+        monkeypatch.setattr(acceptance, "CellContext", RecordingContext)
+        monkeypatch.setattr(acceptance, "_SUITE_CACHE", {})
+        acceptance.lattice_suite(7)
+    assert gram.CELL_NODES == 48 and len(built) == 1
+    ctx = built[0]
+    want = region_triangles(ctx.eval_basis, ctx.covering.elements, 48)
+    assert ctx.triangles.tobytes() == want.tobytes()
+    monkeypatch.setattr(gram, "CELL_NODES", 8)
+    ctx = RecordingContext(ctx.covering, 1, ctx.eval_basis.max_degree)
+    want = region_triangles(ctx.eval_basis, ctx.covering.elements, 8)
+    assert ctx.triangles.tobytes() == want.tobytes()
 
 
 def _run_loop_reference(tmp_path, monkeypatch, sub, text):

@@ -15,7 +15,6 @@ from hermspec import (
     SensorSet,
     gram_over_set,
     hum_control,
-    norm2_over_set,
     observability_gramian,
     observability_gramian_quadrature,
 )

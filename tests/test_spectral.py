@@ -25,8 +25,8 @@ from hermspec import (
     spectral_report,
 )
 from hermspec.bounds import bernstein_CB_log, delta_choice
+from hermspec import gram
 from hermspec.geometry import BallDensitySpec, besicovitch_covering
-from hermspec.gram import QuadratureRule
 from hermspec.rng import SplitMix64
 from hermspec.spectral import CellContext
 from mpmath_reference import mpmath_lam_min, mpmath_log_window_norm
@@ -159,15 +159,15 @@ def test_classify_cells_lattice():
 @pytest.mark.parametrize("kind, d, N, m_max", [
     ("lattice", 1, 6, 4), ("besicovitch", 1, 6, 4), ("lattice", 2, 4, 3), ("besicovitch", 2, 1, 5),
 ])
-def test_cell_norms2_match_the_per_cell_loop(kind, d, N, m_max):
+def test_cell_norms2_match_the_per_cell_loop(kind, d, N, m_max, monkeypatch):
     if kind == "lattice":
         cov = lattice_covering(8.0 if d == 2 else 1.0, d, N, kappa=1)
     else:  # in d = 2, criterion 11's covering (1,345 balls)
         spec = BallDensitySpec(gamma=0.5, alpha=0.0, eps=0.5, R=1.0, profile="power")
         cov = besicovitch_covering(spec, d, N, K=16)
-    rule = QuadratureRule(nodes=24)
-    ctx = CellContext(cov, d, N + m_max, rule)
-    ref = LoopCellContext(cov, d, N + m_max, rule)
+    monkeypatch.setattr(gram, "CELL_NODES", 24)  # the per-cell point tables stay small
+    ctx = CellContext(cov, d, N + m_max)
+    ref = LoopCellContext(cov, d, N + m_max)
     assert len(ctx.cells) == len(cov.elements)
     rng = SplitMix64(53)
     basis = BasisIndexSet(d, N)
@@ -190,7 +190,7 @@ def test_cell_norms2_match_the_per_cell_loop(kind, d, N, m_max):
 
 @pytest.mark.parametrize("cells_per_call", [2 ** 13, 100, 1])
 @pytest.mark.parametrize("kind", ["lattice", "besicovitch"])
-def test_cell_norms2_matches_the_per_cell_loop_bitwise(kind, cells_per_call):
+def test_cell_norms2_matches_the_per_cell_loop_bitwise(kind, cells_per_call, monkeypatch):
     # a cell's triangle does not depend on the cells built beside it: the
     # 163 lattice cells cross region_triangles' box chunks of QR_BLOCK_ROWS // 11
     d, N, m_max = 1, 6, 4
@@ -199,9 +199,9 @@ def test_cell_norms2_matches_the_per_cell_loop_bitwise(kind, cells_per_call):
     else:
         spec = BallDensitySpec(gamma=0.5, alpha=0.0, eps=0.5, R=1.0, profile="power")
         cov = besicovitch_covering(spec, d, N, K=16)
-    rule = QuadratureRule(nodes=24)
-    ctx = CellContext(cov, d, N + m_max, rule)
-    ref = TriangleLoopCellContext(cov, d, N + m_max, rule, cells_per_call)
+    monkeypatch.setattr(gram, "CELL_NODES", 24)
+    ctx = CellContext(cov, d, N + m_max)
+    ref = TriangleLoopCellContext(cov, d, N + m_max, cells_per_call)
     assert len(ref.triangles) == len(ctx.cells) == len(cov.elements)
     for (w, T), T_ref in zip(ctx.cells, ref.triangles):
         assert T.tobytes() == T_ref.tobytes() and w.tobytes() == np.ones(len(T)).tobytes()
@@ -222,7 +222,7 @@ def test_cells_with_underflowing_mass_are_good_and_massless():
     d, N, m_max = 1, 10, 5
     cov = lattice_covering(1.0, d, N, kappa=1)
     f = HermiteVector(BasisIndexSet(d, N), SplitMix64(7).unit_coeffs(N + 1))
-    ctx = CellContext(cov, d, N + m_max, QuadratureRule(nodes=48))
+    ctx = CellContext(cov, d, N + m_max)
     raw = ctx.cell_norms2(derivative_columns(f, m_max)[0])[:, 0]
     tiny = raw < np.finfo(float).tiny
     assert 0 < tiny.sum() < len(raw)
