@@ -8,7 +8,6 @@ from hermspec import BasisIndexSet, Region, SensorSet, acceptance, cli, gram, sp
 from hermspec.basis import HermiteVector
 from hermspec.cli import main, parse_config
 from hermspec.errors import ConfigError, QuadratureError
-from hermspec.gram import region_triangles
 from hermspec.spectral import CellContext
 from mpmath_reference import mpmath_log_window_norm
 from reference_loops import LoopCellContext, derivative_operator_loop, embedded_loop
@@ -503,11 +502,11 @@ def test_cells_are_built_at_CELL_NODES(tmp_path, monkeypatch, sub):
         acceptance.lattice_suite(7)
     assert gram.CELL_NODES == 48 and len(built) == 1
     ctx = built[0]
-    want = region_triangles(ctx.eval_basis, ctx.covering.elements, 48)
+    want = gram.region_triangles(ctx.eval_basis, ctx.covering.elements, 48)
     assert ctx.triangles.tobytes() == want.tobytes()
     monkeypatch.setattr(gram, "CELL_NODES", 8)
-    ctx = RecordingContext(ctx.covering, 1, ctx.eval_basis.max_degree)
-    want = region_triangles(ctx.eval_basis, ctx.covering.elements, 8)
+    ctx = CellContext(ctx.covering, ctx.eval_basis.dimension, ctx.eval_basis.max_degree)
+    want = gram.region_triangles(ctx.eval_basis, ctx.covering.elements, 8)
     assert ctx.triangles.tobytes() == want.tobytes()
 
 
