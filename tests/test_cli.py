@@ -127,7 +127,21 @@ def test_cli_size_cap_error_names_its_config_line(tmp_path, capsys, subcommand):
 
 
 def test_cli_exit_1_on_quadrature_failure(tmp_path, capsys, monkeypatch):
-    # no tolerance below roundoff can be met: doubling from 64 nodes stops at the ceiling
+    # no tolerance below roundoff can be met: every doubling is one more failure
+    monkeypatch.setattr(gram, "NODES", 1)
+    monkeypatch.setattr(gram, "QUAD_TOL", 1e-300)
+    cfg = write(tmp_path, "q.cfg", (
+        "dimension = 1\n"
+        "degree_max = 2\n"
+        "region = box 0.0 1.0\n"
+        f"out_dir = {tmp_path / 'out'}\n"
+    ))
+    assert main(["spectral", "--config", cfg]) == 1
+    assert "verification failure: no convergence" in capsys.readouterr().err
+
+
+def test_cli_exit_1_on_unreachable_tolerance_at_default_nodes(tmp_path, capsys, monkeypatch):
+    # doubling from the default NODES stops at the node ceiling
     monkeypatch.setattr(gram, "QUAD_TOL", 1e-20)
     cfg = write(tmp_path, "q.cfg", (
         "dimension = 1\n"
