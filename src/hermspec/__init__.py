@@ -20,9 +20,7 @@ from .basis import (
     BasisIndexSet,
     HermiteVector,
     derivative_operator,
-    eval_phi,
     eval_phi_table,
-    multi_indices,
 )
 from .geometry import (
     BallDensitySpec,
@@ -59,8 +57,6 @@ from .spectral import (
     classify_cells,
     counterexample_growth,
     derivative_columns,
-    estimate_Mk,
-    good_cell_Mk_bound_log,
     jacobi_eigh,
     mass_intersection_check,
     spectral_constant,
@@ -71,7 +67,6 @@ from .control import (
     ControlResult,
     hum_control,
     observability_gramian,
-    observability_gramian_quadrature,
 )
 
 __version__ = "0.1.0"

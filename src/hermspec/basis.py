@@ -23,14 +23,9 @@ from .errors import InputError
 _PI_QUARTER = math.pi ** -0.25
 
 
-def multi_indices(d, max_degree):
-    """All alpha in N_0^d with |alpha| <= max_degree, graded lex order."""
-    return list(_index_tuple(d, max_degree))
-
-
 @lru_cache(maxsize=None)
 def _index_tuple(d, max_degree):
-    """The enumeration of multi_indices, built once per (d, N).
+    """All alpha in N_0^d with |alpha| <= max_degree in graded lex order, built once per (d, N).
 
     Graded order makes the degree-N enumeration a prefix of every larger one.
     """
@@ -101,14 +96,6 @@ def eval_phi_table(kmax, t):
             - math.sqrt(k / (k + 1.0)) * out[..., k - 1]
         )
     return out
-
-
-def eval_phi(k, t):
-    """k-th Hermite function at a real or complex scalar (or array) t."""
-    if k < 0:
-        raise InputError(f"degree must be non-negative, got {k}")
-    table = eval_phi_table(k, t)
-    return table[..., k]
 
 
 @dataclass

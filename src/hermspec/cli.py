@@ -18,7 +18,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from . import acceptance
+from . import acceptance, gram
 from .acceptance import CriterionResult, _derivative_norm2, results_csv, run_criteria, criterion_13
 from .basis import BasisIndexSet, HermiteVector, derivative_operator
 from .bounds import (
@@ -308,8 +308,8 @@ def cmd_gram(cfg):
     basis = BasisIndexSet(d, N)
     with _inline_lines(cfg):
         G = gram_over_set(basis, _sensor_set(cfg))
-    defect = G.symmetry_defect()
-    checks = [_check("gram-symmetry", defect <= 1e-12, defect, 1e-12)]
+    gap = G.reference_gap
+    checks = [_check("gram-reference", gap <= gram.QUAD_TOL, gap, gram.QUAD_TOL)]
     header = [str(i) for i in range(basis.size)]
     return _emit(cfg, "gram", header, G.entries, checks)
 

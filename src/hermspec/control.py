@@ -34,19 +34,6 @@ def observability_gramian(G_S, basis, T):
     return GramMatrix(basis, G_S.entries * (1.0 - np.exp(-lsum * T)) / lsum)
 
 
-def observability_gramian_quadrature(G_S, basis, T, nodes=100):
-    """Time-quadrature oracle for the Gramian (Gauss-Legendre in t)."""
-    x, w = _leggauss(nodes)
-    t = 0.5 * T * (x + 1.0)
-    w = 0.5 * T * w
-    lam = basis.semigroup_eigenvalues()
-    lsum = lam[:, None] + lam[None, :]
-    B = np.zeros_like(G_S.entries)
-    for ti, wi in zip(t, w):
-        B += wi * np.exp(-lsum * ti)
-    return GramMatrix(basis, G_S.entries * B)
-
-
 def _solve(A, b, error):
     """A^(-1) b, raising error if A is singular or the solution is not finite."""
     try:

@@ -139,17 +139,18 @@ def region_quadrature(region, nodes):
 
 @dataclass
 class GramMatrix:
-    """Symmetric PSD matrix of L^2(S) inner products of basis functions; factor: R^T R = entries."""
+    """Symmetric PSD matrix of L^2(S) inner products of basis functions; factor: R^T R = entries.
+
+    reference_gap is max|R^T R - ref| / max(1, max|ref|) against gram_over_set's reference.
+    """
 
     basis: BasisIndexSet
     entries: np.ndarray
     factor: np.ndarray = None
+    reference_gap: float = None
 
     def quadratic_form(self, coeffs):
         return float(np.asarray(coeffs) @ self.entries @ np.asarray(coeffs))
-
-    def symmetry_defect(self):
-        return float(np.max(np.abs(self.entries - self.entries.T)))
 
 
 def _alpha_matrix(basis):
@@ -350,8 +351,9 @@ def gram_over_set(basis, S):
     while True:
         R = _set_factor(basis, S.regions, nodes)
         G, ref = R.T @ R, _reference_gram(basis, S.regions, nodes)
-        if np.max(np.abs(G - ref)) <= QUAD_TOL * max(1.0, float(np.max(np.abs(ref)))):
-            return GramMatrix(basis, 0.5 * (G + G.T), R)  # symmetrize roundoff
+        gap, scale = float(np.max(np.abs(G - ref))), max(1.0, float(np.max(np.abs(ref))))
+        if gap <= QUAD_TOL * scale:
+            return GramMatrix(basis, 0.5 * (G + G.T), R, gap / scale)  # symmetrize roundoff
         if 2 * nodes > MAX_NODES:
             raise QuadratureError(f"no convergence at {nodes} nodes "
                                   f"(doubling stops at {MAX_NODES})")

@@ -234,66 +234,6 @@ def mass_intersection_check(f, classification):
     return MassIntersection(mass, ratio, int(sel.sum()), False)
 
 
-def estimate_Mk(f, region, l, sample_density=9, phases=33, radii=(0.5, 1.0)):
-    """Sampled lower bound for the normalized polydisc supremum of f on a cell.
-
-    Samples z = x + w with x on a real grid over the closed cell and complex
-    offsets w_j on circles of radius 4 l_j (two radius levels, fixed phase
-    count), so refinement with nested grids is monotone non-decreasing.
-    """
-    local2 = float(np.sum((region_triangles(f.basis, [region], gram.NODES)[0] @ f.coeffs) ** 2))
-    if local2 <= 0:
-        raise InputError("degenerate cell: zero local norm")
-    d = region.dimension
-    l = np.broadcast_to(np.asarray(l, dtype=float), (d,))
-    halves = np.asarray(region.bounding_halfwidths())
-    center = np.asarray(region.center)
-    axes = [np.linspace(center[j] - halves[j], center[j] + halves[j], sample_density)
-            for j in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    x = np.stack([g.ravel() for g in grids], axis=1)
-    if region.kind == "ball":
-        keep = region.contains(x)
-        x = x[keep]
-    offs_1d = [np.array([0.0 + 0.0j])] * d
-    for j in range(d):
-        ph = np.exp(2j * math.pi * np.arange(phases) / phases)
-        circle = np.concatenate([[0.0 + 0.0j]] + [r * 4.0 * l[j] * ph for r in radii])
-        offs_1d[j] = circle
-    grids_w = np.meshgrid(*offs_1d, indexing="ij")
-    w = np.stack([g.ravel() for g in grids_w], axis=1)
-    best = 0.0
-    for off in w:
-        z = x.astype(complex) + off[None, :]
-        best = max(best, float(np.max(np.abs(f.evaluate(z)))))
-    return best * math.sqrt(region.measure()) / math.sqrt(local2)
-
-
-def good_cell_Mk_bound_log(N, d, kappa, l1, delta, term_tol=1e-16):
-    """Log of 2 sqrt(kappa) sum_m C_B(m,N)^(1/2) (10 ||l||_1)^m / m!, truncated.
-
-    Since C_B(m, N)^(1/2) / m! grows like (2 delta)^m, the series is geometric
-    with ratio 20 delta ||l||_1 and diverges unless that ratio is below one.
-    """
-    if 20.0 * delta * l1 >= 1.0:
-        raise InputError("series diverges: need 20 delta ||l||_1 < 1")
-    log_terms = []
-    m = 0
-    log_x = math.log(10.0 * l1) if l1 > 0 else float("-inf")
-    while True:
-        lt = 0.5 * bernstein_CB_log(m, N, d, delta) + m * log_x - math.lgamma(m + 1)
-        log_terms.append(lt)
-        peak = max(log_terms)
-        if m > 2 and lt < peak + math.log(term_tol):
-            break
-        m += 1
-        if m > 500:
-            break
-    peak = max(log_terms)
-    s = sum(math.exp(t - peak) for t in log_terms)
-    return math.log(2.0 * math.sqrt(kappa)) + peak + math.log(s)
-
-
 @dataclass
 class GrowthRow:
     N: int

@@ -8,8 +8,8 @@ the per-cell Gram triangles, the batched Gram, the chord triangles and the
 array overlap check replaced; the tests hold those to stated tolerances and to
 the same accept/reject decisions.  The covering's broadcast ball marking must
 match the lean marking that replaced it bit for bit.  The pointwise tensor
-function, the iterated derivative and the covering's overlap count are
-oracles only the tests use.
+function, the iterated derivative, the covering's overlap count and the
+time-quadrature observability Gramian are oracles only the tests use.
 """
 
 import math
@@ -17,10 +17,11 @@ import math
 import numpy as np
 
 from hermspec.basis import BasisIndexSet, HermiteVector
-from hermspec.basis import derivative_operator, eval_phi, eval_phi_table
+from hermspec.basis import derivative_operator, eval_phi_table
 from hermspec import gram
-from hermspec.gram import (QR_BLOCK_ROWS, _alpha_matrix, _basis_table, _leggauss, _square,
-                           _triangle, axis_quadrature, region_quadrature, region_triangles)
+from hermspec.gram import (QR_BLOCK_ROWS, GramMatrix, _alpha_matrix, _basis_table, _leggauss,
+                           _square, _triangle, axis_quadrature, region_quadrature,
+                           region_triangles)
 
 
 def _positions(basis):
@@ -49,8 +50,21 @@ def eval_Phi(alpha, x):
     """Tensor Hermite function Phi_alpha at the (n, d) points x, one axis factor at a time."""
     out = np.ones(x.shape[0])
     for j, aj in enumerate(alpha):
-        out = out * eval_phi(aj, x[:, j])
+        out = out * eval_phi_table(aj, x[:, j])[:, aj]
     return out
+
+
+def observability_gramian_quadrature(G_S, basis, T, nodes=100):
+    """The observability Gramian G_S[a,b] int_0^T exp(-(lam_a + lam_b) t) dt by Gauss-Legendre in t."""
+    x, w = _leggauss(nodes)
+    t = 0.5 * T * (x + 1.0)
+    w = 0.5 * T * w
+    lam = basis.semigroup_eigenvalues()
+    lsum = lam[:, None] + lam[None, :]
+    B = np.zeros_like(G_S.entries)
+    for ti, wi in zip(t, w):
+        B += wi * np.exp(-lsum * ti)
+    return GramMatrix(basis, G_S.entries * B)
 
 
 def derivative_multi(f, alpha):

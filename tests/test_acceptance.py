@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from hermspec import HermiteVector, acceptance, cli
+from hermspec import HermiteVector, acceptance, cli, control
 from hermspec.cli import main
 
 
@@ -79,6 +79,37 @@ def test_criterion_08_counterexample_growth():
 def test_criterion_09_observability_gramian():
     r = _run(acceptance.criterion_09)
     assert r.passed, r.manifest_line()
+    assert r.value <= 1e-15
+
+
+def _scale_s_weights(monkeypatch):
+    rule = control._leggauss
+    monkeypatch.setattr(control, "_leggauss", lambda n: (rule(n)[0], rule(n)[1] * (1.0 + 1e-6)))
+
+
+def _shift_s_exponent(monkeypatch):
+    # lam + 2 in ControlProblem's rows turns the exponent (lam - 1)/2 into (lam + 1)/2;
+    # the closed form B keeps the true eigenvalues
+    class Shifted(control.ControlProblem):
+        lam = property(lambda self: self._lam, lambda self, v: setattr(self, "_lam", v + 2.0))
+
+    monkeypatch.setattr(acceptance, "ControlProblem", Shifted)
+
+
+def _drop_an_s_node(monkeypatch):
+    rule = control._leggauss
+    monkeypatch.setattr(control, "_leggauss", lambda n: rule(n - 1))
+
+
+@pytest.mark.parametrize("plant, passes", [
+    (_scale_s_weights, False), (_shift_s_exponent, False), (_drop_an_s_node, True),
+], ids=["weights", "exponent", "one_node_fewer"])
+def test_criterion_09_reads_the_factor_of_ControlProblem(monkeypatch, plant, passes):
+    # One s node fewer is no fault: that rule still integrates B to rounding.
+    plant(monkeypatch)
+    r = acceptance.criterion_09()
+    assert r.passed == passes, r.manifest_line()
+    assert (r.value <= 1e-15) == passes
 
 
 def test_criterion_10_hum_control():

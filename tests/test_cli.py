@@ -182,8 +182,9 @@ def test_planted_quadrature_faults_fail_the_gram_check(tmp_path, capsys, monkeyp
         gram.gram_over_set(BasisIndexSet(2, 3), S)
     cfg = write(tmp_path, "q.cfg", "dimension = 2\ndegree_max = 3\n" + "".join(
         f"region = {line}\n" for line in regions) + f"out_dir = {tmp_path / 'out'}\n")
-    assert main(["spectral", "--config", cfg]) == 1
-    assert "verification failure: no convergence" in capsys.readouterr().err
+    for sub in ("spectral", "gram"):
+        assert main([sub, "--config", cfg]) == 1
+        assert "verification failure: no convergence" in capsys.readouterr().err
 
 
 def test_finite_measure_default_window_clears_the_turning_radius(tmp_path):
@@ -271,6 +272,18 @@ def test_gram_subcommand_inline_set(tmp_path):
     ))
     assert main(["gram", "--config", cfg]) == 0
     assert (tmp_path / "out" / "gram.csv").exists()
+
+
+def test_gram_manifest_reads_the_reference_gap(tmp_path):
+    regions = ("box -1.5 0.0 1.0 1.0", "box 1.5 0.5 0.4 0.8")
+    cfg = write(tmp_path, "g.cfg", "dimension = 2\ndegree_max = 3\n" + "".join(
+        f"region = {line}\n" for line in regions) + f"out_dir = {tmp_path / 'out'}\n")
+    assert main(["gram", "--config", cfg]) == 0
+    name, status, value, tol = (tmp_path / "out" / "manifest.txt").read_text().split()
+    S = SensorSet(tuple(Region.from_line(line, 2) for line in regions))
+    gap = gram.gram_over_set(BasisIndexSet(2, 3), S).reference_gap
+    assert (name, status, float(tol)) == ("gram-reference", "pass", gram.QUAD_TOL)
+    assert float(value) == gap <= 1e-11
 
 
 def test_override_flag(tmp_path):

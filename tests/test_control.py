@@ -16,10 +16,10 @@ from hermspec import (
     gram_over_set,
     hum_control,
     observability_gramian,
-    observability_gramian_quadrature,
 )
 from hermspec.rng import SplitMix64
 from mpmath_reference import mpmath_c_obs
+from reference_loops import observability_gramian_quadrature
 
 
 def make_system(N=6, window=True):

@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -15,8 +14,6 @@ from hermspec import (
     classify_cells,
     counterexample_growth,
     derivative_columns,
-    estimate_Mk,
-    good_cell_Mk_bound_log,
     gram_over_set,
     jacobi_eigh,
     lattice_covering,
@@ -24,7 +21,7 @@ from hermspec import (
     spectral_constant,
     spectral_report,
 )
-from hermspec.bounds import bernstein_CB_log, delta_choice
+from hermspec.bounds import delta_choice
 from hermspec import gram
 from hermspec.geometry import BallDensitySpec, besicovitch_covering
 from hermspec.rng import SplitMix64
@@ -127,9 +124,7 @@ def test_derivative_columns_norms():
     # 1/alpha! scaling against explicit multi-derivatives
     idx = 1
     for m in (1, 2):
-        from hermspec.basis import multi_indices
-
-        for alpha in multi_indices(2, m):
+        for alpha in BasisIndexSet(2, m).indices:
             if sum(alpha) != m:
                 continue
             g = derivative_multi(f, alpha)
@@ -254,53 +249,6 @@ def test_mass_intersection_raises_on_empty():
     )
     with pytest.raises(VerificationError):
         mass_intersection_check(f, doctored)
-
-
-def test_estimate_Mk_ground_state():
-    basis = BasisIndexSet(1, 0)
-    f = HermiteVector(basis, np.array([1.0]))
-    cell = Region.interval(-0.5, 0.5)
-    Mk = estimate_Mk(f, cell, (1.0,))
-    # the sampled sup includes x = 0, so M_k >= phi_0(0) sqrt(|Q|) / ||phi_0||_Q
-    assert Mk >= math.pi ** -0.25 / math.sqrt(math.erf(0.5))
-    assert math.isfinite(Mk)
-
-
-def test_estimate_Mk_zero_function():
-    basis = BasisIndexSet(1, 2)
-    f = HermiteVector(basis, np.zeros(basis.size))
-    with pytest.raises(InputError):
-        estimate_Mk(f, Region.interval(0, 1), (1.0,))
-
-
-def test_estimate_Mk_dominated_by_good_cell_bound():
-    # local estimate chain: M_k for a good cell stays below the explicit series bound
-    basis = BasisIndexSet(1, 6)
-    rng = SplitMix64(53)
-    f = HermiteVector(basis, rng.unit_coeffs(basis.size))
-    cell = Region.interval(-0.5, 0.5)
-    delta = delta_choice(1.0, 6, 1.0)
-    Mk = estimate_Mk(f, cell, (1.0,))
-    log_bound = good_cell_Mk_bound_log(6, 1, 1.0, 1.0, delta)
-    assert math.log(Mk) < log_bound
-
-
-def test_good_cell_bound_against_mpmath_series():
-    # the proof's delta keeps the series geometric with ratio 1/2
-    N, d, kappa, l1 = 6, 1, 1.0, 1.0
-    delta = 1.0 / 40.0
-    with mpmath.workdps(1500):
-        s = mpmath.mpf(0)
-        for m in range(0, 250):
-            log_cb = bernstein_CB_log(m, N, d, delta)
-            s += mpmath.e ** (mpmath.mpf(log_cb) / 2) * mpmath.mpf(10 * l1) ** m / mpmath.factorial(m)
-        oracle = float(mpmath.log(2 * mpmath.sqrt(kappa) * s))
-    assert good_cell_Mk_bound_log(N, d, kappa, l1, delta) == pytest.approx(oracle, rel=1e-10)
-
-
-def test_good_cell_bound_divergence_guard():
-    with pytest.raises(InputError):
-        good_cell_Mk_bound_log(6, 1, 1.0, 1.0, 0.5)
 
 
 def test_counterexample_against_gammainc():
