@@ -3,11 +3,13 @@
 Each criterion returns a CriterionResult with a pass/fail flag, a
 representative worst-case value, and the pinned tolerance.  Everything is
 seeded and ordered deterministically so that two runs serialize to identical
-bytes.
+bytes.  The checks that criteria share with CLI subcommands are defined here
+once; the subcommands run them on their configs, the criteria at pinned
+parameters.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,6 +47,9 @@ from .spectral import (
 
 DEFAULT_SEED = 12345
 
+# C07, C09 and C10's finite-measure set, at its default window (16 for N <= 12)
+_FINITE_MEASURE = CubeDensitySpec(gamma=0.5, beta=0.5, rho=1.0, d=1)
+
 
 @dataclass
 class CriterionResult:
@@ -69,9 +74,86 @@ class CriterionResult:
         )
 
 
-def _finite_measure_example(window_radius=16):
-    spec = CubeDensitySpec(gamma=0.5, beta=0.5, rho=1.0, d=1)
-    return example_finite_measure_set(spec, window_radius)
+def check(name, value, tolerance, passed=None):
+    """A named check (cid 0), passing when value <= tolerance unless passed says otherwise."""
+    if passed is None:
+        passed = value <= tolerance
+    return CriterionResult(0, name, bool(passed), float(value), float(tolerance))
+
+
+def unit_samples(basis, seed, count):
+    """count unit-norm HermiteVectors on basis from the splitmix64 stream of seed."""
+    rng = SplitMix64(seed)
+    return [HermiteVector(basis, rng.unit_coeffs(basis.size)) for _ in range(count)]
+
+
+def orthonormality_check(d, N):
+    """max |G - I| of E_N's Gram over the full-space window, to 1e-10."""
+    basis = BasisIndexSet(d, N)
+    G = gram_over_set(basis, fullspace_window(d, N))
+    return check("orthonormality", np.max(np.abs(G.entries - np.eye(basis.size))), 1e-10)
+
+
+def bernstein_check(fs, m_max, delta):
+    """Global Bernstein inequality sum_(|alpha|=m) ||d^alpha f||^2/alpha! <= C_B(m)||f||^2/m!
+    for 1 <= m <= m_max, in logs: the largest log_lhs - log_rhs, at most 0, and the
+    rows (sample, m, log_lhs, log_rhs).
+    """
+    rows = []
+    for i, f in enumerate(fs):
+        d, N = f.basis.dimension, f.basis.max_degree
+        columns, group = derivative_columns(f, m_max)
+        for m in range(1, m_max + 1):
+            lhs = float(np.sum(columns[:, group == m] ** 2))
+            log_lhs = math.log(lhs) if lhs > 0 else float("-inf")
+            log_rhs = (bernstein_CB_log(m, N, d, delta) - math.lgamma(m + 1)
+                       + math.log(f.norm2()))
+            rows.append((i, m, log_lhs, log_rhs))
+    worst = max(log_lhs - log_rhs for _, _, log_lhs, log_rhs in rows)
+    return check("bernstein-margin", worst, 0.0), rows
+
+
+def classification_checks(fs, covering, m_max, delta=None):
+    """Largest bad-mass (<= 1/2) and far-mass (<= 1/4) fractions over fs, and the
+    classifications, all cells of covering in one CellContext.
+    """
+    basis = fs[0].basis
+    ctx = CellContext(covering, basis.dimension, basis.max_degree + m_max)
+    classes = [classify_cells(f, covering, m_max=m_max, delta=delta, ctx=ctx) for f in fs]
+    bad = max(c.bad_mass_fraction for c in classes)
+    far = max(c.far_mass_fraction for c in classes)
+    return [check("bad-mass", bad, 0.5 + 1e-8), check("far-mass", far, 0.25 + 1e-8)], classes
+
+
+def window_cap_check(M, rows):
+    """counterexample_growth's window norms, each at most log sqrt(pi) + 2N log M."""
+    log_sqrt_pi = 0.5 * math.log(math.pi)
+    ok = all(r.log_norm_restricted <= log_sqrt_pi + 2.0 * r.N * math.log(M) for r in rows)
+    return check("window-cap", float(ok), 1.0, passed=ok)
+
+
+def control_checks(problem, phi0s, trajectory=False):
+    """Largest terminal or simulated residual of the phi0s' HUM controls (<= 1e-8),
+    the worst-case state's |cost - c_obs| / c_obs (<= 1e-6), and the controls;
+    with trajectory the first keeps its trajectory.
+    """
+    c_obs = problem.observability_constant()
+    results = [hum_control(problem, phi0, with_trajectory=trajectory and i == 0)
+               for i, phi0 in enumerate(phi0s)]
+    resid = max(max(r.terminal_residual, r.simulated_residual) for r in results)
+    duality = abs(hum_control(problem, problem.worst_case_initial_state()).cost - c_obs) / c_obs
+    return [check("terminal-residual", resid, 1e-8),
+            check("worst-case-duality", duality, 1e-6)], results
+
+
+def covering_checks(spec, cov):
+    """Besicovitch overlap against kappa = K^d, largest radius against 2 R C N^((1-eps)/2)."""
+    cap = 2.0 * spec.R * cov.meta["C"] * cov.meta["N"] ** ((1.0 - spec.eps) / 2.0)
+    max_r = max(r.radius for r in cov.elements)
+    return [
+        check("overlap", cov.meta["kappa_measured"], cov.kappa),
+        check("radius-cap", max_r, cap, passed=max_r <= cap * (1 + 1e-12)),
+    ]
 
 
 def _derivative_norm2(f):
@@ -89,12 +171,9 @@ def _derivative_norm2(f):
 
 def criterion_01():
     """Full-space Gram equals the identity for d=1 (N=20) and d=2 (N=10)."""
-    worst = 0.0
-    for d, N in ((1, 20), (2, 10)):
-        basis = BasisIndexSet(d, N)
-        G = gram_over_set(basis, fullspace_window(d, N))
-        worst = max(worst, float(np.max(np.abs(G.entries - np.eye(basis.size)))))
-    return CriterionResult(1, "orthonormality", worst <= 1e-10, worst, 1e-10)
+    worst = max((orthonormality_check(d, N) for d, N in ((1, 20), (2, 10))),
+                key=lambda c: c.value)
+    return replace(worst, cid=1)
 
 
 def criterion_02(seed=DEFAULT_SEED):
@@ -121,80 +200,55 @@ def criterion_02(seed=DEFAULT_SEED):
     )
 
 
-def _lattice_suite(seed):
-    """Shared classification suite: 100 seeded f in E_10, unit lattice, m_max=5."""
-    d, N, m_max = 1, 10, 5
-    cov = lattice_covering(1.0, d, N, kappa=1)
-    basis = BasisIndexSet(d, N)
-    ctx = CellContext(cov, d, N + m_max)
-    rng = SplitMix64(seed + 3)
-    out = []
-    for _ in range(100):
-        f = HermiteVector(basis, rng.unit_coeffs(basis.size))
-        out.append((f, classify_cells(f, cov, m_max=m_max, ctx=ctx)))
-    return out
-
-
 _SUITE_CACHE = {}
 
 
 def lattice_suite(seed=DEFAULT_SEED):
+    """C03 and C05's classification of 100 seeded f in E_10 on the unit lattice, m_max = 5.
+
+    Returns ((bad-mass, far-mass), fs, classifications), cached per seed.
+    """
     if seed not in _SUITE_CACHE:
-        _SUITE_CACHE[seed] = _lattice_suite(seed)
+        d, N = 1, 10
+        fs = unit_samples(BasisIndexSet(d, N), seed + 3, 100)
+        checks, classes = classification_checks(fs, lattice_covering(1.0, d, N, kappa=1), 5)
+        _SUITE_CACHE[seed] = checks, fs, classes
     return _SUITE_CACHE[seed]
 
 
 def criterion_03(seed=DEFAULT_SEED):
     """Far-mass fraction outside the concentration cells stays below 1/4."""
-    worst = max(cls.far_mass_fraction for _, cls in lattice_suite(seed))
-    return CriterionResult(3, "concentration", worst <= 0.25 + 1e-8, worst, 0.25 + 1e-8)
+    (_, far), _, _ = lattice_suite(seed)
+    return replace(far, cid=3, name="concentration")
 
 
 def criterion_04(seed=DEFAULT_SEED):
     """Global Bernstein inequality via exact ladder-coefficient norms."""
-    d, N, m_max = 1, 10, 5
-    basis = BasisIndexSet(d, N)
-    delta = delta_choice(1.0, N, 1.0)
-    rng = SplitMix64(seed + 4)
-    worst = float("-inf")
-    ok = True
-    quad_defect = 0.0
-    for i in range(100):
-        f = HermiteVector(basis, rng.unit_coeffs(basis.size))
-        columns, group = derivative_columns(f, m_max)
-        total = f.norm2()
-        for m in range(1, m_max + 1):
-            lhs = float(np.sum(columns[:, group == m] ** 2))
-            log_lhs = math.log(lhs) if lhs > 0 else float("-inf")
-            log_rhs = bernstein_CB_log(m, N, d, delta) - math.lgamma(m + 1) + math.log(total)
-            worst = max(worst, log_lhs - log_rhs)
-            ok &= log_lhs <= log_rhs
-        if i < 5:
-            # ladder norms against the exact Gauss-Hermite oracle
-            quad_defect = max(quad_defect, abs(derivative_operator(f, 0).norm2()
-                                               - _derivative_norm2(f)))
-            ok &= quad_defect <= 1e-10
-    return CriterionResult(
-        4, "bernstein", bool(ok), worst, 0.0,
+    N = 10
+    fs = unit_samples(BasisIndexSet(1, N), seed + 4, 100)
+    margin, _ = bernstein_check(fs, 5, delta_choice(1.0, N, 1.0))
+    # ladder norms against the exact Gauss-Hermite oracle
+    quad_defect = max(abs(derivative_operator(f, 0).norm2() - _derivative_norm2(f))
+                      for f in fs[:5])
+    return replace(
+        margin, cid=4, name="bernstein", passed=margin.passed and quad_defect <= 1e-10,
         details=f"quad_defect={format(quad_defect, '.17g')}",
     )
 
 
 def criterion_05(seed=DEFAULT_SEED):
     """Bad-mass fraction below 1/2 and central-good mass at least 1/4."""
-    worst_bad = 0.0
+    (bad, _), fs, classes = lattice_suite(seed)
     worst_ratio = float("inf")
-    ok = True
-    for f, cls in lattice_suite(seed):
-        worst_bad = max(worst_bad, cls.bad_mass_fraction)
+    ok = bad.passed
+    for f, cls in zip(fs, classes):
         try:
-            check = mass_intersection_check(f, cls)
-            worst_ratio = min(worst_ratio, check.ratio)
+            worst_ratio = min(worst_ratio, mass_intersection_check(f, cls).ratio)
         except VerificationError:
             ok = False
-    ok &= worst_bad <= 0.5 + 1e-8 and worst_ratio >= 0.25 - 1e-8
-    return CriterionResult(
-        5, "bad_mass_and_intersection", bool(ok), worst_bad, 0.5 + 1e-8,
+    ok &= worst_ratio >= 0.25 - 1e-8
+    return replace(
+        bad, cid=5, name="bad_mass_and_intersection", passed=ok,
         details=f"min_central_good_ratio={format(worst_ratio, '.17g')}",
     )
 
@@ -215,9 +269,8 @@ def criterion_06():
 
 def criterion_07():
     """Sharp constant dominates the general lower bound (log-space comparison)."""
-    S = _finite_measure_example(window_radius=16)
     basis8 = BasisIndexSet(1, 8)
-    G = gram_over_set(basis8, S)
+    G = gram_over_set(basis8, example_finite_measure_set(_FINITE_MEASURE, 8))
     C = 32.0  # cube covering: d=1, kappa=1
     gamma_eff = 0.5 ** (2.0 * (2.0 * C) ** 0.5)
     worst = float("inf")
@@ -239,16 +292,13 @@ def criterion_08():
     """Counterexample growth: log-ratio grows like N log N, window norm capped."""
     M = 2.0
     rows, fitted_c = counterexample_growth(M, list(range(10, 41)))
-    cap_ok = all(
-        r.log_norm_restricted <= 0.5 * math.log(math.pi) + 2.0 * r.N * math.log(M)
-        for r in rows
-    )
     c_star = 1.0 + 2.0 * math.log(M)
     band = min(
         (r.log_ratio - (r.N * math.log(r.N) - c_star * r.N)) / math.log(r.N) for r in rows
     )
     floor = min(r.log_ratio - r.N * math.log(r.N) + fitted_c * r.N for r in rows)
-    ok = cap_ok and band >= -4.0 and floor >= -1e-9 and fitted_c <= c_star + 1.0
+    ok = (window_cap_check(M, rows).passed and band >= -4.0 and floor >= -1e-9
+          and fitted_c <= c_star + 1.0)
     return CriterionResult(
         8, "counterexample_growth", bool(ok), fitted_c, c_star + 1.0,
         details=f"band={format(band, '.17g')}",
@@ -262,7 +312,7 @@ def criterion_09():
     sets = (
         fullspace_window(1, 12),
         halfline_window(12),
-        _finite_measure_example(window_radius=16),
+        example_finite_measure_set(_FINITE_MEASURE, 12),
     )
     for S in sets:
         G = gram_over_set(basis, S)
@@ -276,44 +326,27 @@ def criterion_09():
 def criterion_10(seed=DEFAULT_SEED):
     """HUM control: terminal residual, cost bound, and worst-case duality."""
     basis = BasisIndexSet(1, 12)
-    T = 1.0
-    S = _finite_measure_example(window_radius=16)
-    problem = ControlProblem(basis, gram_over_set(basis, S), T)
+    S = example_finite_measure_set(_FINITE_MEASURE, 12)
+    problem = ControlProblem(basis, gram_over_set(basis, S), 1.0)
     c_obs = problem.observability_constant()
-    rng = SplitMix64(seed + 10)
-    worst_resid = 0.0
-    ok = True
-    for _ in range(50):
-        phi0 = HermiteVector(basis, rng.unit_coeffs(basis.size))
-        res = hum_control(problem, phi0)
-        worst_resid = max(worst_resid, res.terminal_residual, res.simulated_residual)
-        ok &= res.terminal_residual <= 1e-8 and res.cost <= c_obs * (1.0 + 1e-8)
-    res = hum_control(problem, problem.worst_case_initial_state())
-    rel = abs(res.cost - c_obs) / c_obs
-    ok &= rel <= 1e-6 and worst_resid <= 1e-8
-    return CriterionResult(
-        10, "hum_control", bool(ok), rel, 1e-6,
-        details=f"c_obs={format(c_obs, '.17g')},max_residual={format(worst_resid, '.17g')}",
+    (resid, duality), results = control_checks(problem, unit_samples(basis, seed + 10, 50))
+    ok = resid.passed and duality.passed and all(r.cost <= c_obs * (1.0 + 1e-8) for r in results)
+    return replace(
+        duality, cid=10, name="hum_control", passed=ok,
+        details=f"c_obs={format(c_obs, '.17g')},max_residual={format(resid.value, '.17g')}",
     )
 
 
 def criterion_11():
     """Besicovitch covering: complete grid coverage, bounded overlap, radius cap."""
+    spec = BallDensitySpec(gamma=0.5, alpha=0.0, eps=0.5, R=1.0, profile="power")
     ok = True
     worst_overlap_ratio = 0.0
-    cases = [(1, N) for N in range(1, 10)] + [(2, 1)]
-    for d, N in cases:
-        spec = BallDensitySpec(gamma=0.5, alpha=0.0, eps=0.5, R=1.0, profile="power")
-        cov = besicovitch_covering(spec, d, N, K=16)
-        kappa_meas = cov.meta["kappa_measured"]
-        worst_overlap_ratio = max(worst_overlap_ratio, kappa_meas / 16.0 ** d)
-        ok &= kappa_meas <= 16 ** d
-        C = cov.meta["C"]
-        cap = 2.0 * spec.R * C * N ** ((1.0 - spec.eps) / 2.0)
-        ok &= all(r.radius <= cap * (1 + 1e-12) for r in cov.elements)
-    return CriterionResult(
-        11, "besicovitch_covering", bool(ok), worst_overlap_ratio, 1.0,
-    )
+    for d, N in [(1, N) for N in range(1, 10)] + [(2, 1)]:
+        overlap, radius = covering_checks(spec, besicovitch_covering(spec, d, N, K=16))
+        ok &= overlap.passed and radius.passed
+        worst_overlap_ratio = max(worst_overlap_ratio, overlap.value / overlap.tolerance)
+    return CriterionResult(11, "besicovitch_covering", ok, worst_overlap_ratio, 1.0)
 
 
 def criterion_12(seed=DEFAULT_SEED):

@@ -19,18 +19,21 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import acceptance, gram
-from .acceptance import CriterionResult, _derivative_norm2, results_csv, run_criteria, criterion_13
-from .basis import BasisIndexSet, HermiteVector, derivative_operator
+from .acceptance import (
+    _derivative_norm2, bernstein_check, check, classification_checks, control_checks,
+    covering_checks, criterion_13, orthonormality_check, results_csv, run_criteria,
+    unit_samples, window_cap_check,
+)
+from .basis import BasisIndexSet, derivative_operator
 from .bounds import (
     BoundParams,
-    bernstein_CB_log,
     cobs_bound_log,
     delta_choice,
     thm_balls_bound,
     thm_cubes_bound,
     thm_general_bound,
 )
-from .control import ControlProblem, hum_control
+from .control import ControlProblem
 from .errors import (
     ConfigError,
     InputError,
@@ -53,13 +56,7 @@ from .geometry import (
 )
 from .gram import gram_over_set, gram_fullspace_weighted
 from .rng import SplitMix64
-from .spectral import (
-    CellContext,
-    classify_cells,
-    counterexample_growth,
-    derivative_columns,
-    spectral_report,
-)
+from .spectral import counterexample_growth, spectral_report
 
 
 def _finite(text):
@@ -69,17 +66,20 @@ def _finite(text):
     return value
 
 
-def _count(text):
-    value = int(text)
-    if value < 1:
-        raise ValueError("must be at least 1")
-    return value
+def _at_least(low):
+    def convert(text):
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be at least {low}")
+        return value
+    return convert
 
 
 # `region` repeats; every other key takes its last value
 _SCHEMA = {
-    **dict.fromkeys(("dimension", "degree_max", "seed", "K", "N_min", "N_max"), int),
-    **dict.fromkeys(("samples", "m_max"), _count),
+    "seed": int,
+    **dict.fromkeys(("degree_max", "N_min", "N_max"), _at_least(0)),
+    **dict.fromkeys(("dimension", "K", "samples", "m_max"), _at_least(1)),
     **dict.fromkeys((
         "delta", "T", "C1", "C2", "C3", "gamma", "beta", "alpha", "rho", "R", "eps",
         "kappa", "eta", "D", "zeta", "d0", "d1", "M", "weight", "window_radius",
@@ -126,8 +126,9 @@ def parse_config(text, overrides=()):
     """Parse flat `key = value` config text, then apply `key=value` overrides.
 
     Text after `#` is a comment.  Config lines and overrides go through one
-    conversion: integers, finite floats (no nan or inf), `samples` and `m_max`
-    at least 1, strings.  A later value of a key replaces an earlier one,
+    conversion: integers (`dimension`, `K`, `samples` and `m_max` at least 1;
+    `degree_max`, `N_min` and `N_max` at least 0), finite floats (no nan or
+    inf), strings.  A later value of a key replaces an earlier one,
     except `region`, which accumulates as (where, text) entries.  Raises
     ConfigError naming the key, the value and the config line or override.
     """
@@ -186,9 +187,7 @@ def _sensor_set(cfg):
             gamma=_get(cfg, "gamma"), beta=_get(cfg, "beta"),
             rho=cfg.get("rho", 1.0), d=d,
         )
-        # by default 8 beyond the turning radius sqrt(2N + d), as fullspace_window
-        window = cfg.get("window_radius", max(16.0, math.sqrt(2.0 * N + d) + 8.0))
-        return example_finite_measure_set(spec, window)
+        return example_finite_measure_set(spec, N, cfg.get("window_radius"))
     raise ConfigError(f"unknown set kind '{kind}'")
 
 
@@ -225,30 +224,24 @@ def _emit(cfg, sub, header, rows, checks):
     return [c for c in checks if not c.passed]
 
 
-def _check(name, passed, value, tolerance):
-    return CriterionResult(0, name, bool(passed), float(value), float(tolerance))
-
-
 def cmd_basis_check(cfg):
     d = _get(cfg, "dimension")
     N = _get(cfg, "degree_max")
     basis = BasisIndexSet(d, N)
     size_ok = basis.size == math.comb(N + d, d)
-    G = gram_over_set(basis, fullspace_window(d, N))
-    dev = float(np.max(np.abs(G.entries - np.eye(basis.size))))
-    rng = SplitMix64(_get(cfg, "seed"))
-    f = HermiteVector(basis, rng.unit_coeffs(basis.size))
+    ortho = orthonormality_check(d, N)
+    (f,) = unit_samples(basis, _get(cfg, "seed"), 1)
     df = derivative_operator(f, 0)
     ladder = abs(df.norm2() - _derivative_norm2(f)) / df.norm2()
     rows = [
         ("size", basis.size, float(size_ok)),
-        ("gram_deviation", dev, 1e-10),
+        ("gram_deviation", ortho.value, ortho.tolerance),
         ("ladder_norm", ladder, 1e-10),
     ]
     checks = [
-        _check("basis-size", size_ok, basis.size, 0.0),
-        _check("orthonormality", dev <= 1e-10, dev, 1e-10),
-        _check("ladder-norm", ladder <= 1e-10, ladder, 1e-10),
+        check("basis-size", basis.size, 0.0, passed=size_ok),
+        ortho,
+        check("ladder-norm", ladder, 1e-10),
     ]
     return _emit(cfg, "basis-check", ("check", "value", "tolerance"), rows, checks)
 
@@ -274,7 +267,7 @@ def cmd_decay(cfg):
         ratio = float(c @ Gw.entries @ c)
         worst = max(worst, ratio)
         rows.append((i, ratio, bound))
-    checks = [_check("decay-ratio", worst <= bound - 1e-6, worst, bound)]
+    checks = [check("decay-ratio", worst, bound, passed=worst <= bound - 1e-6)]
     return _emit(cfg, "decay", ("sample", "ratio", "bound"), rows, checks)
 
 
@@ -284,22 +277,9 @@ def cmd_bernstein(cfg):
     m_max = _get(cfg, "m_max")
     samples = _get(cfg, "samples")
     delta = cfg.get("delta", delta_choice(cfg.get("D", 1.0), N, cfg.get("eps", 1.0)))
-    basis = BasisIndexSet(d, N)
-    rng = SplitMix64(_get(cfg, "seed"))
-    rows = []
-    worst = float("-inf")
-    for i in range(samples):
-        f = HermiteVector(basis, rng.unit_coeffs(basis.size))
-        columns, group = derivative_columns(f, m_max)
-        for m in range(1, m_max + 1):
-            lhs = float(np.sum(columns[:, group == m] ** 2))
-            log_lhs = math.log(lhs) if lhs > 0 else float("-inf")
-            log_rhs = (bernstein_CB_log(m, N, d, delta) - math.lgamma(m + 1)
-                       + math.log(f.norm2()))
-            worst = max(worst, log_lhs - log_rhs)
-            rows.append((i, m, log_lhs, log_rhs))
-    checks = [_check("bernstein-margin", worst <= 0.0, worst, 0.0)]
-    return _emit(cfg, "bernstein", ("sample", "m", "log_lhs", "log_rhs"), rows, checks)
+    fs = unit_samples(BasisIndexSet(d, N), _get(cfg, "seed"), samples)
+    margin, rows = bernstein_check(fs, m_max, delta)
+    return _emit(cfg, "bernstein", ("sample", "m", "log_lhs", "log_rhs"), rows, [margin])
 
 
 def cmd_gram(cfg):
@@ -309,7 +289,7 @@ def cmd_gram(cfg):
     with _inline_lines(cfg):
         G = gram_over_set(basis, _sensor_set(cfg))
     gap = G.reference_gap
-    checks = [_check("gram-reference", gap <= gram.QUAD_TOL, gap, gram.QUAD_TOL)]
+    checks = [check("gram-reference", gap, gram.QUAD_TOL)]
     header = [str(i) for i in range(basis.size)]
     return _emit(cfg, "gram", header, G.entries, checks)
 
@@ -321,7 +301,7 @@ def cmd_spectral(cfg):
     with _inline_lines(cfg):
         report = spectral_report(basis, _sensor_set(cfg))
     rows = [(report.N, report.d, report.set_hash, report.lam_min)]
-    checks = [_check("spectral-positive", report.lam_min > 0, report.lam_min, 0.0)]
+    checks = [check("spectral-positive", report.lam_min, 0.0, passed=report.lam_min > 0)]
     return _emit(cfg, "spectral", ("N", "d", "set_hash", "lam_min"), rows, checks)
 
 
@@ -341,22 +321,10 @@ def cmd_classify(cfg):
         cov = lattice_covering(cfg.get("rho", 1.0), d, N, kappa=int(kappa))
     else:
         raise ConfigError(f"unknown covering '{covering}'")
-    ctx = CellContext(cov, d, N + m_max)
-    rng = SplitMix64(_get(cfg, "seed"))
-    rows = []
-    worst_bad = 0.0
-    worst_far = 0.0
-    for i in range(samples):
-        f = HermiteVector(basis, rng.unit_coeffs(basis.size))
-        cls = classify_cells(f, cov, m_max=m_max, delta=cfg.get("delta"), ctx=ctx)
-        worst_bad = max(worst_bad, cls.bad_mass_fraction)
-        worst_far = max(worst_far, cls.far_mass_fraction)
-        rows.append((i, cls.bad_mass_fraction, cls.far_mass_fraction,
-                     int(np.sum(cls.good)), cls.max_flip_m))
-    checks = [
-        _check("bad-mass", worst_bad <= 0.5 + 1e-8, worst_bad, 0.5 + 1e-8),
-        _check("far-mass", worst_far <= 0.25 + 1e-8, worst_far, 0.25 + 1e-8),
-    ]
+    fs = unit_samples(basis, _get(cfg, "seed"), samples)
+    checks, classes = classification_checks(fs, cov, m_max, cfg.get("delta"))
+    rows = [(i, c.bad_mass_fraction, c.far_mass_fraction, int(np.sum(c.good)), c.max_flip_m)
+            for i, c in enumerate(classes)]
     return _emit(cfg, "classify",
                  ("sample", "bad_mass_fraction", "far_mass_fraction",
                   "good_cells", "max_flip_m"), rows, checks)
@@ -365,22 +333,14 @@ def cmd_classify(cfg):
 def cmd_besicovitch(cfg):
     d = _get(cfg, "dimension")
     N = _get(cfg, "degree_max")
-    K = _get(cfg, "K")
     spec = _ball_spec(cfg)
-    cov = besicovitch_covering(spec, d, N, K=K)
+    cov = besicovitch_covering(spec, d, N, K=_get(cfg, "K"))
     rows = [
         (k, *r.center, r.radius, int(k in cov.central))
         for k, r in enumerate(cov.elements)
     ]
-    kappa_meas = cov.meta["kappa_measured"]
-    cap = 2.0 * spec.R * cov.meta["C"] * N ** ((1.0 - spec.eps) / 2.0)
-    max_r = max(r.radius for r in cov.elements)
-    checks = [
-        _check("overlap", kappa_meas <= K ** d, kappa_meas, float(K ** d)),
-        _check("radius-cap", max_r <= cap * (1 + 1e-12), max_r, cap),
-    ]
     header = ("index", *(f"c{j}" for j in range(d)), "radius", "central")
-    return _emit(cfg, "besicovitch", header, rows, checks)
+    return _emit(cfg, "besicovitch", header, rows, covering_checks(spec, cov))
 
 
 def cmd_bounds(cfg):
@@ -406,7 +366,7 @@ def cmd_bounds(cfg):
             _get(cfg, "C2"), _get(cfg, "C3"),
         )))
     finite = all(math.isfinite(v) for _, v in rows)
-    checks = [_check("bounds-finite", finite, float(finite), 1.0)]
+    checks = [check("bounds-finite", float(finite), 1.0, passed=finite)]
     return _emit(cfg, "bounds", ("bound", "log_value"), rows, checks)
 
 
@@ -424,13 +384,9 @@ def cmd_counterexample(cfg):
     super_linear = all(d > 0 for d in diffs) and all(
         d2 > d1 for d1, d2 in zip(diffs, diffs[1:])
     )
-    cap_ok = all(
-        r.log_norm_restricted <= 0.5 * math.log(math.pi) + 2.0 * r.N * math.log(M)
-        for r in rows_data
-    )
     checks = [
-        _check("growth-monotone-superlinear", super_linear, fitted_c, 0.0),
-        _check("window-cap", cap_ok, float(cap_ok), 1.0),
+        check("growth-monotone-superlinear", fitted_c, 0.0, passed=super_linear),
+        window_cap_check(M, rows_data),
     ]
     return _emit(cfg, "counterexample",
                  ("N", "log_norm_full", "log_norm_restricted", "log_ratio"),
@@ -446,24 +402,12 @@ def cmd_control(cfg):
     with _inline_lines(cfg):
         G_S = gram_over_set(basis, _sensor_set(cfg))
     problem = ControlProblem(basis, G_S, T)
+    phi0s = unit_samples(basis, _get(cfg, "seed"), samples)
+    checks, results = control_checks(problem, phi0s, trajectory=True)
+    _write(_get(cfg, "out_dir"), "trajectory.csv", results[0].trajectory_csv())
     cobs = problem.observability_constant()
-    rng = SplitMix64(_get(cfg, "seed"))
-    rows = []
-    worst_resid = 0.0
-    for i in range(samples):
-        phi0 = HermiteVector(basis, rng.unit_coeffs(basis.size))
-        res = hum_control(problem, phi0, with_trajectory=(i == 0))
-        worst_resid = max(worst_resid, res.terminal_residual, res.simulated_residual)
-        rows.append((i, res.cost, res.terminal_residual, res.simulated_residual, cobs))
-        if i == 0:
-            _write(_get(cfg, "out_dir"), "trajectory.csv",
-                   res.trajectory_csv())
-    res_w = hum_control(problem, problem.worst_case_initial_state())
-    rel = abs(res_w.cost - cobs) / cobs
-    checks = [
-        _check("terminal-residual", worst_resid <= 1e-8, worst_resid, 1e-8),
-        _check("worst-case-duality", rel <= 1e-6, rel, 1e-6),
-    ]
+    rows = [(i, r.cost, r.terminal_residual, r.simulated_residual, cobs)
+            for i, r in enumerate(results)]
     return _emit(cfg, "control",
                  ("sample", "cost", "terminal_residual", "simulated_residual",
                   "c_obs_num"), rows, checks)

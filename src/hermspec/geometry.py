@@ -289,15 +289,6 @@ class CoveringFamily:
     def dimension(self):
         return self.elements[0].dimension
 
-    def validate(self, N):
-        """Check ||l_k||_1 <= D N^((1-eps)/2) on the central elements (eta: on construction)."""
-        cap = self.D * N ** ((1.0 - self.eps) / 2.0)
-        for k in self.central:
-            l1 = sum(self.elements[k].side_lengths())
-            if l1 > cap * (1 + 1e-12):
-                raise InputError(f"element {k}: ||l_k||_1 = {l1} exceeds D N^((1-eps)/2) = {cap}")
-        return True
-
 
 def fullspace_window(d, N, half=None):
     """The box [-half, half]^d standing in for R^d on E_N.
@@ -315,13 +306,16 @@ def halfline_window(N):
     return SensorSet((Region.interval(0.0, 64.0 * math.sqrt(N + 1.0)),))
 
 
-def example_finite_measure_set(spec, window_radius):
+def example_finite_measure_set(spec, N, window_radius=None):
     """Union of shrunken lattice cubes with side r_k = gamma^((1+|k|^beta)/d).
 
     Each unit cell then carries relative measure r_k^d = gamma^(1+|k|^beta),
     meeting the cube density condition with equality.  Materializes lattice
-    points with |k|_inf <= window_radius.
+    points with |k|_inf <= window_radius, by default max(16, sqrt(2N + d) + 8):
+    8 beyond the turning radius of degree N, as for fullspace_window.
     """
+    if window_radius is None:
+        window_radius = max(16.0, math.sqrt(2.0 * N + spec.d) + 8.0)
     if window_radius <= 0:
         raise InputError("window_radius must be positive")
     if abs(spec.rho - 1.0) > 1e-15:
@@ -381,7 +375,6 @@ def lattice_covering(rho, d, N, kappa=1, window_margin=None):
         meta={"C": C, "rho": rho, "N": N, "window_radius": radius + margin,
               "ball_touch": ball_touch},
     )
-    cov.validate(N)
     return cov
 
 
@@ -497,7 +490,6 @@ def besicovitch_covering(spec, d, N, K=16):
             "K": K,
         },
     )
-    cov.validate(N)
     return cov
 
 

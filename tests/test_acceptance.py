@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from hermspec import HermiteVector, acceptance, cli, control
+from hermspec import HermiteVector, acceptance, cli, control, geometry
 from hermspec.cli import main
 
 
@@ -161,3 +161,88 @@ def test_report_runs_two_criteria_passes(tmp_path, monkeypatch):
     assert main(["report", "--config", str(cfg)]) == 0
     assert calls == [7, 7]
     assert (tmp_path / "r" / "manifest.txt").read_text().splitlines()[-1].startswith("C13 pass")
+
+
+# The subcommand configs whose checks C01, C03-C05, C08, C10 and C11 run at
+# report seed 7: each criterion draws its samples with seed 7 + its number
+# (C05 reads C03's classify run), and C01 and C11 take the worst of their cases.
+_BESICOVITCH = "gamma = 0.5\neps = 0.5\nR = 1.0\n"
+_SUBCOMMAND_CONFIGS = {
+    1: [("basis-check", "dimension = 1\ndegree_max = 20\n"),
+        ("basis-check", "dimension = 2\ndegree_max = 10\n")],
+    3: [("classify", "dimension = 1\ndegree_max = 10\nm_max = 5\nsamples = 100\nseed = 10\n")],
+    4: [("bernstein", "dimension = 1\ndegree_max = 10\nm_max = 5\nsamples = 100\nseed = 11\n")],
+    8: [("counterexample", "M = 2\nN_min = 10\nN_max = 40\n")],
+    10: [("control", "dimension = 1\ndegree_max = 12\nset = finite_measure\ngamma = 0.5\n"
+                     "beta = 0.5\nT = 1\nsamples = 50\nseed = 17\n")],
+    11: [("besicovitch", f"dimension = {d}\ndegree_max = {N}\n" + _BESICOVITCH)
+         for d, N in [(1, N) for N in range(1, 10)] + [(2, 1)]],
+}
+
+
+def _run_sub(out, sub, text):
+    """Exit code and manifest lines {check: [status, value, tolerance]} of sub, run in out."""
+    out.mkdir()
+    cfg = out / "run.cfg"
+    cfg.write_text(text + f"out_dir = {out}\n")
+    code = main([sub, "--config", str(cfg)])
+    lines = (out / "manifest.txt").read_text().splitlines()
+    return code, {line.split()[0]: line.split()[1:] for line in lines}
+
+
+def test_criteria_read_the_values_of_their_subcommands_checks(tmp_path):
+    (tmp_path / "report.cfg").write_text(f"seed = 7\nout_dir = {tmp_path / 'report'}\n")
+    assert main(["report", "--config", str(tmp_path / "report.cfg")]) == 0
+    report = {line.split()[0]: line.split()[1:]
+              for line in (tmp_path / "report" / "manifest.txt").read_text().splitlines()}
+    details = {row.split(",")[0]: row.split(",", 5)[5]
+               for row in (tmp_path / "report" / "report.csv").read_text().splitlines()}
+    subs = {cid: [_run_sub(tmp_path / f"C{cid:02d}-{k}", sub, text)
+                  for k, (sub, text) in enumerate(configs)]
+            for cid, configs in _SUBCOMMAND_CONFIGS.items()}
+    assert all(code == 0 for runs in subs.values() for code, _ in runs)
+
+    def read(cid, name, k=0):
+        return subs[cid][k][1][name]
+
+    ortho = [read(1, "orthonormality", k) for k in range(2)]
+    assert report["C01"] == max(ortho, key=lambda c: float(c[1]))
+    assert report["C03"] == read(3, "far-mass")
+    assert report["C04"] == read(4, "bernstein-margin")
+    assert report["C05"] == read(3, "bad-mass")
+    assert report["C08"][1] == read(8, "growth-monotone-superlinear")[1]
+    assert report["C10"] == read(10, "worst-case-duality")
+    assert details["10"].endswith(f",max_residual={read(10, 'terminal-residual')[1]}")
+    ratios = [float(run[1]["overlap"][1]) / float(run[1]["overlap"][2]) for run in subs[11]]
+    assert report["C11"][1] == format(max(ratios), ".17g")
+
+
+def _lower_the_bernstein_constant(monkeypatch):
+    CB_log = acceptance.bernstein_CB_log
+    monkeypatch.setattr(acceptance, "bernstein_CB_log", lambda *args: CB_log(*args) - 5000.0)
+
+
+def _drop_every_central_tag(monkeypatch):
+    post_init = geometry.CoveringFamily.__post_init__
+
+    def dropped(self):
+        post_init(self)
+        object.__setattr__(self, "central", ())
+
+    monkeypatch.setattr(geometry.CoveringFamily, "__post_init__", dropped)
+
+
+@pytest.mark.parametrize("plant, cid, failing", [
+    (_lower_the_bernstein_constant, 4, "bernstein-margin"),
+    (_scale_s_weights, 10, "terminal-residual"),
+    (_drop_every_central_tag, 3, "far-mass"),
+], ids=["C_B-minus-5000-nats", "s-weights", "no-central-cells"])
+def test_planted_faults_fail_the_subcommand_and_its_criterion(tmp_path, monkeypatch, plant,
+                                                               cid, failing):
+    plant(monkeypatch)
+    monkeypatch.setattr(acceptance, "_SUITE_CACHE", {})
+    ((sub, text),) = _SUBCOMMAND_CONFIGS[cid]
+    code, manifest = _run_sub(tmp_path / sub, sub, text)
+    assert code == 1 and manifest[failing][0] == "FAIL"
+    r = acceptance.CRITERIA[cid](7)
+    assert not r.passed, r.manifest_line()

